@@ -9,17 +9,15 @@ escalation. Human-readable tables go to stdout; machine JSON goes to
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
-from typing import Dict, List, Optional
+from dataclasses import fields
+from typing import Dict, List, Optional, TextIO
 
 from .governor import MODE_ORDER, GovernorState, step
-from .model import (
-    ModelParams,
-    calibrate_lambda0,
-    fit_logistic_two_point,
-    perceived_latency,
-)
+from .model import ModelParams, calibrate_lambda0, fit_logistic_two_point
 from .simulator import (
     OUTCOME_MODEL,
     SimConfig,
@@ -37,6 +35,8 @@ from .telemetry import (
     confirmation_latency,
     iter_events,
     nearest_rank,
+    reject_non_finite,
+    rolling_mean_std,
     slo_alerts,
     slo_evaluate,
     slo_track,
@@ -50,10 +50,7 @@ EXIT_SLO_ESCALATED = 3
 DEFAULT_SEED = 42
 DEFAULT_SESSIONS = 10_000
 
-_MODEL_FIELD_NAMES = (
-    "alpha", "beta", "gamma", "k", "eta", "lambda0", "budget_b_l",
-    "budget_soft", "hysteresis_h", "theta1", "theta2", "lambda1", "lambda2",
-)
+_MODEL_FIELD_NAMES = tuple(f.name for f in fields(ModelParams))
 _POLICY_ALIASES = {
     "none": "none",
     "static": "static_messaging",
@@ -66,13 +63,20 @@ class UsageError(Exception):
     """Bad flags or bad configuration; maps to exit code 2."""
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} does not fit a float")
+    return value
+
+
 def _load_json(path: str, what: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject_non_finite, parse_float=_finite_float)
     except OSError as exc:
         raise UsageError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise UsageError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"{what} {path} must hold a JSON object")
@@ -114,10 +118,10 @@ def _write_out(path: Optional[str], doc: dict) -> None:
         fh.write(text)
 
 
-def _read_lines(path: str) -> List[str]:
+def _read_lines(path: str) -> TextIO:
+    """Open telemetry for streaming, line by line; use it in a ``with`` block."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.readlines()
+        return open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read telemetry {path}: {exc}") from exc
 
@@ -202,45 +206,43 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise UsageError("--window must be >= 1")
     doc = _load_config(args.config)
     params = _params_from_config(doc)
-    lines = _read_lines(args.telemetry)
 
-    window = LatencyWindow(capacity=args.window)
+    session_ids = []
+    latencies = []
+    with _read_lines(args.telemetry) as lines:
+        for event in iter_events(lines, skip_bad=args.skip_bad):
+            session_ids.append(event.session_id)
+            latencies.append(confirmation_latency(event))
+    if not latencies:
+        print("error: no telemetry events to replay", file=sys.stderr)
+        return EXIT_RUNTIME
+
+    mean, std = rolling_mean_std(latencies, args.window, include_current=True)
+    perceived = (mean + params.k * std).tolist()
+
     state = GovernorState()
-    records = []
     mode_counts: Dict[str, int] = {m.value: 0 for m in MODE_ORDER}
-    for event in iter_events(lines, skip_bad=args.skip_bad):
-        window.push(confirmation_latency(event))
-        stats = window.stats()
-        lp = perceived_latency(stats.mean_s, stats.std_s, params.k)
-        state, decision = step(state, lp, params)
-        mode_counts[decision.mode.value] += 1
-        records.append(
-            {
-                "session_id": event.session_id,
+    if args.out:
+        sink = open(args.out, "w", encoding="utf-8")
+    else:
+        sink = contextlib.nullcontext(sys.stdout)
+    with sink as out:
+        for session_id, lp in zip(session_ids, perceived):
+            state, decision = step(state, lp, params)
+            mode_counts[decision.mode.value] += 1
+            record = {
+                "session_id": session_id,
                 "perceived_latency_s": lp,
                 "trust": decision.trust,
                 "mode": decision.mode.value,
                 "reason": decision.reason.value,
             }
-        )
+            out.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
 
-    if not records:
-        print("error: no telemetry events to replay", file=sys.stderr)
-        return EXIT_RUNTIME
-
-    total = len(records)
+    total = len(perceived)
     shares = " ".join(f"{m}={c / total * 100:.1f}%" for m, c in mode_counts.items())
     summary = f"events={total} transitions={state.transitions} modes: {shares}"
-    jsonl = "".join(
-        json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n" for rec in records
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(jsonl)
-        print(summary)
-    else:
-        sys.stdout.write(jsonl)
-        print(summary, file=sys.stderr)
+    print(summary, file=sys.stdout if args.out else sys.stderr)
     return EXIT_OK
 
 
@@ -253,17 +255,22 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     behavior_lines = []
     if args.telemetry:
-        events = list(iter_events(_read_lines(args.telemetry), skip_bad=args.skip_bad))
-        if not events:
+        latencies = []
+        engaged = 0
+        with _read_lines(args.telemetry) as lines:
+            for event in iter_events(lines, skip_bad=args.skip_bad):
+                latencies.append(confirmation_latency(event))
+                engaged += event.engaged_60s
+        if not latencies:
             print("error: empty telemetry input", file=sys.stderr)
             return EXIT_RUNTIME
-        ordered = sorted(confirmation_latency(e) for e in events)
+        ordered = sorted(latencies)
         quantiles = {
             "p50": nearest_rank(ordered, 0.50),
             "p90": nearest_rank(ordered, 0.90),
             "p99": nearest_rank(ordered, 0.99),
         }
-        repeat_rate = sum(e.engaged_60s for e in events) / len(events)
+        repeat_rate = engaged / len(latencies)
         flag = "  [ALERT: below repeat floor]" if repeat_rate < slo_cfg.repeat_min else ""
         behavior_lines.append(f"repeat engagement: {repeat_rate * 100:.1f}%{flag}")
     else:
@@ -317,11 +324,10 @@ def cmd_slo(args: argparse.Namespace) -> int:
         raise UsageError("--window must be >= 1")
     doc = _load_config(args.config)
     slo_cfg = _slo_config(doc)
-    lines = _read_lines(args.telemetry)
-
-    latencies = [
-        confirmation_latency(e) for e in iter_events(lines, skip_bad=args.skip_bad)
-    ]
+    with _read_lines(args.telemetry) as lines:
+        latencies = [
+            confirmation_latency(e) for e in iter_events(lines, skip_bad=args.skip_bad)
+        ]
     if not latencies:
         print("error: no telemetry events", file=sys.stderr)
         return EXIT_RUNTIME

@@ -109,32 +109,36 @@ def decide_simple(
     return _stateless_mode(mean_latency + params.k * std_latency, params)
 
 
+def next_mode(mode: Mode, perceived_latency: float, params: ModelParams) -> Mode:
+    """The hysteresis rule: the mode after one observation in ``mode``.
+
+    Strict inequalities, at most one hop per step: Instant->Soft when
+    L_p > budget; Soft->Deferred when L_p > soft limit; Soft->Instant when
+    L_p < budget - h; Deferred->Soft when L_p < soft limit - h.
+    """
+    lp = perceived_latency
+    if mode is Mode.INSTANT:
+        return Mode.SOFT if lp > params.budget_b_l else Mode.INSTANT
+    if mode is Mode.SOFT:
+        if lp > params.budget_soft:
+            return Mode.DEFERRED
+        if lp < params.budget_b_l - params.hysteresis_h:
+            return Mode.INSTANT
+        return Mode.SOFT
+    return Mode.SOFT if lp < params.budget_soft - params.hysteresis_h else Mode.DEFERRED
+
+
 def step(
     state: GovernorState, perceived_latency: float, params: ModelParams
 ) -> Tuple[GovernorState, Decision]:
-    """Advance the hysteresis state machine by one observation.
-
-    Transition rules (strict inequalities, at most one hop per step):
-    Instant->Soft when L_p > budget; Soft->Deferred when L_p > soft limit;
-    Soft->Instant when L_p < budget - h; Deferred->Soft when
-    L_p < soft limit - h.
-    """
+    """Advance the hysteresis state machine (:func:`next_mode`) by one
+    observation and explain the resulting mode."""
     lp = float(perceived_latency)
     if math.isnan(lp) or lp < 0.0:
         raise ValueError(f"perceived latency must be non-negative, got {lp}")
 
     mode = state.mode
-    if mode is Mode.INSTANT:
-        new_mode = Mode.SOFT if lp > params.budget_b_l else Mode.INSTANT
-    elif mode is Mode.SOFT:
-        if lp > params.budget_soft:
-            new_mode = Mode.DEFERRED
-        elif lp < params.budget_b_l - params.hysteresis_h:
-            new_mode = Mode.INSTANT
-        else:
-            new_mode = Mode.SOFT
-    else:
-        new_mode = Mode.SOFT if lp < params.budget_soft - params.hysteresis_h else Mode.DEFERRED
+    new_mode = next_mode(mode, lp, params)
 
     if new_mode is Mode.INSTANT:
         reason = Reason.WITHIN_BUDGET

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Literal, Optional, Tuple
 
+import numpy as np
+
 LN2 = math.log(2.0)
 
 # Baseline hazard anchor: lambda0 is chosen so the median time-to-abandon
@@ -25,8 +27,15 @@ SENSITIVITY_FLOOR = 0.25
 SENSITIVITY_CEIL = 4.0
 
 
-def sigmoid(x: float) -> float:
-    """Logistic function in the branch form that never overflows exp()."""
+def sigmoid(x):
+    """Logistic function in the branch form that never overflows exp().
+
+    Takes a float (and returns a float) or a NumPy array (and returns an
+    array of the same shape, elementwise).
+    """
+    if isinstance(x, np.ndarray):
+        z = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) where x < 0
+        return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
     if x >= 0.0:
         return 1.0 / (1.0 + math.exp(-x))
     z = math.exp(x)

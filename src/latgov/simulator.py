@@ -3,9 +3,9 @@
 Confirmation latencies are drawn from a (optionally shifted) log-normal
 rail; each session then races an exponential patience clock against its
 latency, converts with the jitter-penalized logistic probability, and may
-produce a repeat engagement. The per-session loop lives in
-:mod:`latgov.kernel`; this module owns configuration, variate layout,
-aggregation and the experiment drivers (burst and policy comparison).
+produce a repeat engagement. This module owns configuration, variate
+layout, the array simulation, aggregation and the experiment drivers
+(burst and policy comparison).
 
 Determinism: a run is a pure function of ``(config, seed)``. All random
 variates are drawn up front from one seeded generator in four fixed lanes
@@ -21,33 +21,31 @@ and only converted sessions can repeat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from statistics import NormalDist
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import backends
-from .governor import MODE_ORDER, GovernorState, Mode, decide_simple, step
-from .kernel import POLICY_LETW, POLICY_NONE, POLICY_STATIC
+from .governor import MODE_ORDER, GovernorState, Mode, decide_simple, next_mode, step
 from .model import (
     ContextProfile,
     ModelParams,
     abandonment_hazard,
     context_conversion,
     perceived_latency,
+    sigmoid,
     trust_score,
 )
-from .telemetry import WindowStats, nearest_rank
+from .telemetry import WindowStats, nearest_rank, rolling_mean_std
 
 OUTCOME_MODEL = "survive-then-convert"
 
 POLICY_KINDS = ("none", "static_messaging", "letw")
-_POLICY_CODES = {
-    "none": POLICY_NONE,
-    "static_messaging": POLICY_STATIC,
-    "letw": POLICY_LETW,
-}
+
+# Sessions per block of array work in simulate_paths; blocks keep the
+# temporaries small next to the per-session arrays.
+SESSION_BLOCK = 4_096
 
 _STD_NORMAL = NormalDist()
 
@@ -118,6 +116,11 @@ class Mitigation:
                 f"rho_soft={self.rho_soft}, rho_deferred={self.rho_deferred}"
             )
 
+    @property
+    def multipliers(self) -> Tuple[float, float, float]:
+        """Hazard multiplier per mode, in governor.MODE_ORDER order."""
+        return (1.0, self.rho_soft, self.rho_deferred)
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -160,41 +163,7 @@ class SimConfig:
         return _from_doc(cls, doc, "simulation config")
 
     def to_dict(self) -> dict:
-        return {
-            "sessions": self.sessions,
-            "seed": self.seed,
-            "rail": {
-                "mu_log": self.rail.mu_log,
-                "sigma_log": self.rail.sigma_log,
-                "shift_s": self.rail.shift_s,
-            },
-            "policy": {
-                "kind": self.policy.kind,
-                "static_threshold_s": self.policy.static_threshold_s,
-            },
-            "params": {
-                "alpha": self.params.alpha,
-                "beta": self.params.beta,
-                "gamma": self.params.gamma,
-                "k": self.params.k,
-                "eta": self.params.eta,
-                "lambda0": self.params.lambda0,
-                "budget_b_l": self.params.budget_b_l,
-                "budget_soft": self.params.budget_soft,
-                "hysteresis_h": self.params.hysteresis_h,
-                "theta1": self.params.theta1,
-                "theta2": self.params.theta2,
-                "lambda1": self.params.lambda1,
-                "lambda2": self.params.lambda2,
-            },
-            "ctx": {"m_c": self.ctx.m_c},
-            "mitigation": {
-                "rho_soft": self.mitigation.rho_soft,
-                "rho_deferred": self.mitigation.rho_deferred,
-            },
-            "engagement_ceiling": self.engagement_ceiling,
-            "window_capacity": self.window_capacity,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -218,16 +187,7 @@ class SimResult:
             raise ValueError(f"mode shares must sum to 1, got {share_sum}")
 
     def to_dict(self) -> dict:
-        return {
-            "conversion_rate": self.conversion_rate,
-            "abandonment_rate": self.abandonment_rate,
-            "repeat_rate": self.repeat_rate,
-            "mean_trust": self.mean_trust,
-            "mode_shares": dict(self.mode_shares),
-            "latency_p50": self.latency_p50,
-            "latency_p90": self.latency_p90,
-            "latency_p99": self.latency_p99,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimResult":
@@ -295,11 +255,11 @@ def simulate_session(
     gov: GovernorState,
     cfg: SimConfig,
 ) -> Tuple[SessionOutcome, GovernorState]:
-    """Reference semantics for one kernel iteration.
+    """Reference semantics for one session of :func:`simulate_paths`.
 
     Draws exactly three variates in fixed order (patience exponential,
     conversion uniform, repeat uniform) regardless of the outcome, so a
-    stream of sessions stays aligned with the vectorized scan.
+    stream of sessions stays aligned with the array simulation.
     """
     patience = rng.standard_exponential()
     u_convert = rng.random()
@@ -316,13 +276,7 @@ def simulate_session(
         next_gov, decision = step(gov, lp, cfg.params)
         mode = decision.mode
 
-    if mode is Mode.SOFT:
-        rho = cfg.mitigation.rho_soft
-    elif mode is Mode.DEFERRED:
-        rho = cfg.mitigation.rho_deferred
-    else:
-        rho = 1.0
-    rate = rho * abandonment_hazard(lp, cfg.params)
+    rate = cfg.mitigation.multipliers[mode.index] * abandonment_hazard(lp, cfg.params)
     abandoned = patience / rate < latency
 
     trust = trust_score(lp, cfg.params)
@@ -342,48 +296,53 @@ def simulate_session(
     return outcome, next_gov
 
 
-def simulate_paths(cfg: SimConfig, backend: Optional[str] = None) -> SessionTrace:
-    """Run the full scan and return per-session arrays."""
+def simulate_paths(cfg: SimConfig) -> SessionTrace:
+    """Simulate every session and return per-session arrays.
+
+    Window statistics, trust, hazard and conversion are array arithmetic
+    over blocks of sessions; only the ``letw`` governor, whose mode depends
+    on the previous one, steps session by session.
+    """
     n = cfg.sessions
+    params = cfg.params
     rng = np.random.default_rng(cfg.seed)
     latency_z, patience, u_convert, u_repeat = draw_variates(rng, n)
     latencies = np.exp(cfg.rail.mu_log + cfg.rail.sigma_log * latency_z) + cfg.rail.shift_s
+    del latency_z
+
+    perceived, std = rolling_mean_std(latencies, cfg.window_capacity, include_current=False)
+    std *= params.k
+    perceived += std
+    del std
 
     mode = np.zeros(n, dtype=np.int8)
-    perceived = np.zeros(n)
-    trust = np.zeros(n)
-    abandoned = np.zeros(n, dtype=np.bool_)
-    converted = np.zeros(n, dtype=np.bool_)
-    repeated = np.zeros(n, dtype=np.bool_)
-
-    _, scan = backends.resolve(backend)
-    transitions = scan(
-        latencies,
-        patience,
-        u_convert,
-        u_repeat,
-        _POLICY_CODES[cfg.policy.kind],
-        cfg.policy.static_threshold_s,
-        cfg.params.alpha,
-        cfg.params.beta * cfg.ctx.m_c,
-        cfg.params.gamma,
-        cfg.params.k,
-        cfg.params.lambda0,
-        cfg.params.eta,
-        cfg.params.budget_b_l,
-        cfg.params.budget_soft,
-        cfg.params.hysteresis_h,
-        cfg.mitigation.rho_soft,
-        cfg.mitigation.rho_deferred,
-        cfg.engagement_ceiling,
-        cfg.window_capacity,
-        mode,
-        perceived,
-        trust,
-        abandoned,
-        converted,
-        repeated,
-    )
+    trust = np.empty(n)
+    abandoned = np.empty(n, dtype=np.bool_)
+    converted = np.empty(n, dtype=np.bool_)
+    repeated = np.empty(n, dtype=np.bool_)
+    multipliers = np.array(cfg.mitigation.multipliers)
+    gov_mode, code, transitions = Mode.INSTANT, 0, 0
+    for start in range(0, n, SESSION_BLOCK):
+        b = slice(start, min(start + SESSION_BLOCK, n))
+        lp = perceived[b]
+        if cfg.policy.kind == "static_messaging":
+            mode[b] = latencies[b] > cfg.policy.static_threshold_s
+        elif cfg.policy.kind == "letw":
+            codes = []
+            for value in lp.tolist():
+                new_mode = next_mode(gov_mode, value, params)
+                if new_mode is not gov_mode:
+                    gov_mode, code = new_mode, new_mode.index
+                    transitions += 1
+                codes.append(code)
+            mode[b] = codes
+        trust[b] = sigmoid(-params.eta * (lp - params.budget_b_l))
+        with np.errstate(over="ignore"):  # an infinite hazard abandons at once
+            rate = multipliers[mode[b]] * params.lambda0 * np.exp(params.gamma * lp)
+        abandoned[b] = patience[b] / rate < latencies[b]
+        p_convert = sigmoid(params.alpha - params.beta * cfg.ctx.m_c * lp)
+        converted[b] = ~abandoned[b] & (u_convert[b] < p_convert)
+        repeated[b] = converted[b] & (u_repeat[b] < cfg.engagement_ceiling * trust[b])
     return SessionTrace(
         latency_s=latencies,
         perceived_s=perceived,
@@ -392,7 +351,7 @@ def simulate_paths(cfg: SimConfig, backend: Optional[str] = None) -> SessionTrac
         abandoned=abandoned,
         converted=converted,
         repeated=repeated,
-        governor_transitions=int(transitions),
+        governor_transitions=transitions,
     )
 
 
@@ -413,27 +372,23 @@ def summarize_trace(trace: SessionTrace) -> SimResult:
     )
 
 
-def run_simulation(cfg: SimConfig, backend: Optional[str] = None) -> SimResult:
+def run_simulation(cfg: SimConfig) -> SimResult:
     """Simulate ``cfg.sessions`` sessions; deterministic per (config, seed)."""
-    return summarize_trace(simulate_paths(cfg, backend))
+    return summarize_trace(simulate_paths(cfg))
 
 
-def run_burst(
-    base: SimConfig, burst_rail: RailDistribution, backend: Optional[str] = None
-) -> Tuple[SimResult, SimResult]:
+def run_burst(base: SimConfig, burst_rail: RailDistribution) -> Tuple[SimResult, SimResult]:
     """Run the congested regime ungoverned and governed under the same seed."""
     burst = replace(base, rail=burst_rail)
-    ungoverned = run_simulation(replace(burst, policy=replace(burst.policy, kind="none")), backend)
-    governed = run_simulation(replace(burst, policy=replace(burst.policy, kind="letw")), backend)
+    ungoverned = run_simulation(replace(burst, policy=replace(burst.policy, kind="none")))
+    governed = run_simulation(replace(burst, policy=replace(burst.policy, kind="letw")))
     return ungoverned, governed
 
 
-def compare_policies(
-    cfg: SimConfig, backend: Optional[str] = None
-) -> Dict[str, SimResult]:
+def compare_policies(cfg: SimConfig) -> Dict[str, SimResult]:
     """Run all three policies under the same seed; keyed by policy kind."""
     return {
-        kind: run_simulation(replace(cfg, policy=replace(cfg.policy, kind=kind)), backend)
+        kind: run_simulation(replace(cfg, policy=replace(cfg.policy, kind=kind)))
         for kind in POLICY_KINDS
     }
 

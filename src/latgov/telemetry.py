@@ -11,7 +11,9 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, FrozenSet, Iterable, Iterator, Optional, Sequence
+from typing import Deque, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
+
+import numpy as np
 
 UX_MODES = ("instant", "soft", "deferred")
 
@@ -27,6 +29,10 @@ REQUIRED_FIELDS = (
 OPTIONAL_FIELDS = ("region", "device")
 
 DEFAULT_WINDOW_CAPACITY = 256
+
+# Outputs rolling_mean_std computes per pass (rounded to whole windows);
+# passes keep its temporaries small.
+ROLLING_BLOCK = 4_096
 
 # Metric names used in SLO breach sets.
 METRIC_P50 = "p50"
@@ -103,8 +109,8 @@ def _require_number(doc: dict, field: str, line: Optional[int]) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TelemetrySchemaError(f"field '{field}' must be numeric, got {value!r}", line)
     value = float(value)
-    if math.isnan(value) or value < 0.0:
-        raise TelemetrySchemaError(f"field '{field}' must be >= 0, got {value}", line)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise TelemetrySchemaError(f"field '{field}' must be finite and >= 0, got {value}", line)
     return value
 
 
@@ -151,12 +157,23 @@ def event_from_dict(doc: dict, line: Optional[int] = None) -> TelemetryEvent:
     )
 
 
+def reject_non_finite(token: str):
+    """``parse_constant`` hook for ``json``: NaN and Infinity are not JSON."""
+    raise ValueError(f"non-finite number {token}")
+
+
+# Built once: json.loads with a hook would build a decoder for every line.
+_DECODER = json.JSONDecoder(parse_constant=reject_non_finite)
+
+
 def parse_event(line: str, lineno: Optional[int] = None) -> TelemetryEvent:
     """Parse one JSONL telemetry line; unknown fields are ignored."""
     try:
-        doc = json.loads(line)
+        doc = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise TelemetryParseError(f"malformed JSON: {exc.msg}", lineno) from exc
+    except ValueError as exc:
+        raise TelemetryParseError(f"malformed JSON: {exc}", lineno) from exc
     return event_from_dict(doc, lineno)
 
 
@@ -224,6 +241,78 @@ class WindowStats:
 
 
 EMPTY_STATS = WindowStats(count=0, mean_s=0.0, std_s=0.0, p50_s=0.0, p90_s=0.0, p99_s=0.0)
+
+
+def rolling_mean_std(
+    x, window: int, include_current: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean and sample std (n-1) of the last ``window`` values at every index.
+
+    With ``include_current`` the window at index i ends with x[i] (push,
+    then stats: replay). Without it the window ends with x[i-1], so index 0
+    sees an empty window (a simulated session sees only earlier sessions).
+    Empty windows read mean 0 and one-value windows std 0, as in
+    :meth:`LatencyWindow.stats`.
+
+    The values are cut into rows of ``window`` values, so every full window
+    is the tail of one row plus the head of the next. Running sums over
+    each row give every head (about the row's first value) and every tail
+    (about its last value); the two parts are then merged with the pairwise
+    update of Chan, Golub & LeVeque (1979). Each sum runs over at most
+    ``window`` values about a value of its own part, so precision does not
+    depend on the length of ``x``, on a latency shift, or on how small the
+    window's spread is next to the data's.
+    """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    mean = np.zeros(n)
+    std = np.zeros(n)
+    lag = 0 if include_current else 1
+    window = min(window, max(n, 1))  # a longer window sees the same values
+    block = max(1, ROLLING_BLOCK // window) * window
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        lo = max(0, start + 1 - lag - window) // window * window  # a row boundary
+        ends = np.arange(start + 1 - lag, stop + 1 - lag) - lo  # exclusive, from lo
+        seg = x[lo : lo + ends[-1]]
+        flat = np.zeros(max(1, -(-seg.shape[0] // window)) * window)
+        flat[: seg.shape[0]] = seg
+        rows = flat.reshape(-1, window)
+        dev = rows - rows[:, :1]
+        head1 = np.cumsum(dev, axis=1).ravel()
+        head2 = np.cumsum(dev * dev, axis=1).ravel()
+        dev = rows[:, ::-1] - rows[:, -1:]
+        tail1 = np.cumsum(dev, axis=1)[:, ::-1].ravel()
+        tail2 = np.cumsum(dev * dev, axis=1)[:, ::-1].ravel()
+
+        # Head: the window's values in its last row, [ends - n_head, ends);
+        # tail: the rest, [ends - window, ends - n_head), ending the row before.
+        n_head = ends % window
+        n_tail = np.where(ends >= window, window - n_head, 0)
+        count = n_head + n_tail
+        i_head = np.maximum(ends - 1, 0)
+        h1 = np.where(n_head > 0, head1[i_head], 0.0)
+        h2 = np.where(n_head > 0, head2[i_head], 0.0)
+        mean_head = flat[np.minimum(ends - n_head, flat.size - 1)] + h1 / np.maximum(n_head, 1)
+        i_tail = np.maximum(ends - window, 0)
+        r1 = np.where(n_tail > 0, tail1[i_tail], 0.0)
+        r2 = np.where(n_tail > 0, tail2[i_tail], 0.0)
+        mean_tail = flat[i_tail - n_head + window - 1] + r1 / np.maximum(n_tail, 1)
+
+        delta = np.where((n_head > 0) & (n_tail > 0), mean_head - mean_tail, 0.0)
+        size = np.maximum(count, 1)
+        m2 = (
+            (h2 - h1 * h1 / np.maximum(n_head, 1))
+            + (r2 - r1 * r1 / np.maximum(n_tail, 1))
+            + delta * delta * n_head * n_tail / size
+        )
+        merged = np.where(n_tail > 0, mean_tail + delta * n_head / size, mean_head)
+        mean[start:stop] = np.where(count > 0, merged, 0.0)
+        var = np.maximum(m2, 0.0) / np.maximum(count - 1, 1)
+        std[start:stop] = np.where(count > 1, np.sqrt(var), 0.0)
+    return mean, std
 
 
 class LatencyWindow:

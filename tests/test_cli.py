@@ -1,9 +1,14 @@
 """CLI contract tests: subcommand behavior, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import latgov
 from latgov.cli import main
 from latgov.simulator import SimResult
 
@@ -105,6 +110,35 @@ class TestSimulate:
         assert doc["config"]["sessions"] == 50
         assert doc["config"]["seed"] == 9
 
+    @pytest.mark.parametrize("token", ["NaN", "-Infinity", "1e999"])
+    def test_non_finite_config_value_is_usage_error(self, tmp_path, capsys, token):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"params": {"alpha": %s}}' % token)
+        assert main(["simulate", "--config", str(config), "--sessions", "100"]) == 2
+        captured = capsys.readouterr()
+        assert token in captured.err
+        assert "conversion=" not in captured.out
+
+    def test_large_congestion_shift_abandons_everyone(self, tmp_path):
+        """exp(gamma * L) overflows past ~1.9 ks; an infinite hazard abandons."""
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"rail": {"shift_s": 5000}}))
+        out = tmp_path / "out.json"
+        env = dict(os.environ)
+        src = str(Path(latgov.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "latgov", "simulate", "--config", str(config),
+             "--sessions", "2000", "--out", str(out)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(out.read_text())["result"]
+        assert result["abandonment_rate"] == 1.0
+        assert result["conversion_rate"] == 0.0
+
 
 class TestReplay:
     def test_constant_latency_all_instant(self, tmp_path, capsys):
@@ -152,6 +186,22 @@ class TestReplay:
         telemetry = tmp_path / "empty.jsonl"
         telemetry.write_text("")
         assert main(["replay", "--telemetry", str(telemetry)]) == 1
+
+    def test_non_finite_number_rejected(self, tmp_path, capsys):
+        telemetry = tmp_path / "inf.jsonl"
+        bad = make_event("a", 1.0).replace('"media_rtt_ms": 80', '"media_rtt_ms": Infinity')
+        telemetry.write_text(bad + "\n" + make_event("b", 1.0) + "\n")
+        assert main(["replay", "--telemetry", str(telemetry)]) == 2
+        assert "line 1" in capsys.readouterr().err
+        out = tmp_path / "d.jsonl"
+        assert main(["replay", "--telemetry", str(telemetry), "--skip-bad", "--out", str(out)]) == 0
+        assert [json.loads(line)["session_id"] for line in out.read_text().splitlines()] == ["b"]
+
+    def test_missing_file_is_usage_error_before_output(self, tmp_path, capsys):
+        assert main(["replay", "--telemetry", str(tmp_path / "absent.jsonl")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot read telemetry" in captured.err
 
     def test_deterministic_output(self, tmp_path):
         telemetry = tmp_path / "t.jsonl"

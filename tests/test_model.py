@@ -218,6 +218,20 @@ class TestLatencyBudget:
             latency_budget(0.5, ModelParams(beta=0.0))
 
 
+class TestSigmoid:
+    def test_float_in_float_out(self):
+        assert type(sigmoid(0.3)) is float
+        assert sigmoid(0.0) == 0.5
+
+    def test_array_matches_scalar_elementwise(self):
+        x = np.array([-800.0, -40.0, -1.5, 0.0, 0.25, 3.0, 40.0, 800.0])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = sigmoid(x)
+        assert got.shape == x.shape
+        assert got.tolist() == pytest.approx([sigmoid(float(v)) for v in x], rel=1e-15)
+        assert got[0] == 0.0 and got[-1] == 1.0
+
+
 class TestTrustScore:
     def test_half_at_budget(self):
         assert trust_score(PARAMS.budget_b_l, PARAMS) == 0.5

@@ -2,7 +2,7 @@
 monotonicity, direction checks, and the analytic closed-form cross-check."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -120,6 +120,25 @@ class TestConfigValidation:
             window_capacity=64,
         )
         assert SimConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_to_dict_keys_are_the_dataclass_fields(self):
+        """A field added to any config dataclass must reach ``--out``."""
+
+        def check(obj, doc, where):
+            assert set(doc) == {f.name for f in fields(obj)}, where
+            for f in fields(obj):
+                value = getattr(obj, f.name)
+                if is_dataclass(value):
+                    check(value, doc[f.name], f"{where}.{f.name}")
+                else:
+                    assert not isinstance(doc[f.name], dict), f"{where}.{f.name}"
+
+        check(SimConfig(sessions=5), SimConfig(sessions=5).to_dict(), "config")
+        result = run_simulation(small_cfg())
+        doc = result.to_dict()
+        assert set(doc) == {f.name for f in fields(SimResult)}
+        assert doc["mode_shares"] == result.mode_shares
+        assert doc["mode_shares"] is not result.mode_shares
 
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown"):

@@ -23,6 +23,7 @@ from latgov.telemetry import (
     iter_events,
     nearest_rank,
     parse_event,
+    rolling_mean_std,
     slo_alerts,
     slo_evaluate,
     slo_track,
@@ -212,6 +213,64 @@ class TestLatencyWindow:
             window.push(value)
         stats = window.stats()
         assert stats.p50_s <= stats.p90_s <= stats.p99_s
+
+
+def fsum_window_stats(values):
+    """Two-pass mean and sample std over math.fsum; (0, 0) for no values."""
+    n = len(values)
+    if n == 0:
+        return 0.0, 0.0
+    mean = math.fsum(values) / n
+    if n == 1:
+        return mean, 0.0
+    return mean, math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
+
+
+def assert_rolling_matches_oracle(x, window, include_current, indexes):
+    mean, std = rolling_mean_std(x, window, include_current)
+    assert mean.shape == std.shape == (len(x),)
+    values = x.tolist()
+    for i in indexes:
+        end = i + 1 if include_current else i
+        want_mean, want_std = fsum_window_stats(values[max(0, end - window) : end])
+        assert mean[i] == pytest.approx(want_mean, rel=1e-9, abs=1e-12), i
+        assert std[i] == pytest.approx(want_std, rel=1e-9, abs=1e-12), i
+
+
+class TestRollingMeanStd:
+    @pytest.mark.parametrize("include_current", [True, False])
+    @pytest.mark.parametrize("window", [1, 2, 7, 64, 256, 5000])
+    def test_matches_fsum_oracle(self, window, include_current):
+        x = np.random.default_rng(window).lognormal(np.log(1.4), 0.6, size=3000)
+        assert_rolling_matches_oracle(x, window, include_current, range(len(x)))
+
+    @pytest.mark.parametrize("include_current", [True, False])
+    def test_fewer_values_than_window(self, include_current):
+        x = np.array([1.0, 4.0, 2.5, 0.5])
+        for window in (10, 10**12):
+            assert_rolling_matches_oracle(x, window, include_current, range(len(x)))
+
+    def test_include_current_is_push_then_stats(self):
+        """Replay pushes, then reads the window; the simulator reads the
+        window of earlier sessions only, so index 0 sees an empty window."""
+        x = np.array([1.0, 2.0, 3.0, 6.0])
+        mean, _ = rolling_mean_std(x, 2, include_current=True)
+        assert mean.tolist() == [1.0, 1.5, 2.5, 4.5]
+        mean, std = rolling_mean_std(x, 2, include_current=False)
+        assert mean.tolist() == [0.0, 1.0, 1.5, 2.5]
+        assert std[:2].tolist() == [0.0, 0.0]
+
+    def test_stable_at_a_million_values_under_a_large_shift(self):
+        x = 1000.0 + np.random.default_rng(1).lognormal(np.log(1.4), 0.52, size=1_000_000)
+        indexes = [*range(0, len(x), 997), *range(len(x) - 300, len(x))]
+        for include_current in (True, False):
+            assert_rolling_matches_oracle(x, 256, include_current, indexes)
+
+    def test_empty_input_and_bad_window(self):
+        mean, std = rolling_mean_std([], 4, include_current=True)
+        assert mean.shape == std.shape == (0,)
+        with pytest.raises(ValueError):
+            rolling_mean_std([1.0], 0, include_current=True)
 
 
 class TestNearestRank:
