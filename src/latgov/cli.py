@@ -13,22 +13,22 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from typing import Dict, List, Optional, TextIO
 
 from .governor import MODE_ORDER, GovernorState, step
-from .model import ModelParams, calibrate_lambda0, fit_logistic_two_point
+from .model import ModelParams, calibrate_lambda0, fit_logistic_two_point, perceived_latency
 from .simulator import (
     OUTCOME_MODEL,
     SimConfig,
     SimResult,
+    _from_doc,
     compare_policies,
     quantile_mode_rows,
     run_simulation,
 )
 from .telemetry import (
     DEFAULT_WINDOW_CAPACITY,
-    LatencyWindow,
     SloConfig,
     SloStatus,
     TelemetryError,
@@ -40,6 +40,7 @@ from .telemetry import (
     slo_alerts,
     slo_evaluate,
     slo_track,
+    window_stats,
 )
 
 EXIT_OK = 0
@@ -70,10 +71,21 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _fitting_int(text: str) -> int:
+    """``parse_int`` hook: an integer the model would turn into a float must fit one."""
+    _finite_float(text)
+    return int(text)
+
+
 def _load_json(path: str, what: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=reject_non_finite, parse_float=_finite_float)
+            doc = json.load(
+                fh,
+                parse_constant=reject_non_finite,
+                parse_float=_finite_float,
+                parse_int=_fitting_int,
+            )
     except OSError as exc:
         raise UsageError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:
@@ -96,22 +108,21 @@ def _load_config(path: Optional[str]) -> dict:
 
 
 def _params_from_config(doc: dict) -> ModelParams:
-    params_doc = doc.get("params", {})
     try:
-        return ModelParams(**params_doc)
+        return _from_doc(ModelParams, doc.get("params", {}), "params")
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad model params: {exc}") from exc
 
 
 def _slo_config(doc: dict) -> SloConfig:
     try:
-        return SloConfig(**doc.get("slo", {}))
+        return _from_doc(SloConfig, doc.get("slo", {}), "slo")
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad SLO config: {exc}") from exc
 
 
 def _write_out(path: Optional[str], doc: dict) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is None:
         return
     with open(path, "w", encoding="utf-8") as fh:
@@ -218,7 +229,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         return EXIT_RUNTIME
 
     mean, std = rolling_mean_std(latencies, args.window, include_current=True)
-    perceived = (mean + params.k * std).tolist()
+    perceived = perceived_latency(mean, std, params.k).tolist()
 
     state = GovernorState()
     mode_counts: Dict[str, int] = {m.value: 0 for m in MODE_ORDER}
@@ -237,7 +248,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 "mode": decision.mode.value,
                 "reason": decision.reason.value,
             }
-            out.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+            out.write(
+                json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+            )
 
     total = len(perceived)
     shares = " ".join(f"{m}={c / total * 100:.1f}%" for m, c in mode_counts.items())
@@ -302,20 +315,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     for line in behavior_lines:
         print(line)
 
-    _write_out(
-        args.out,
-        {
-            "rows": [
-                {
-                    "statistic": r.statistic,
-                    "latency_s": r.latency_s,
-                    "mode": r.mode.value,
-                    "conversion": r.conversion,
-                }
-                for r in rows
-            ]
-        },
-    )
+    _write_out(args.out, {"rows": [{**asdict(r), "mode": r.mode.value} for r in rows]})
     return EXIT_OK
 
 
@@ -336,11 +336,7 @@ def cmd_slo(args: argparse.Namespace) -> int:
     windows = []
     escalations = []
     for index, start in enumerate(range(0, len(latencies), args.window)):
-        chunk = latencies[start : start + args.window]
-        window = LatencyWindow(capacity=args.window)
-        for latency in chunk:
-            window.push(latency)
-        stats = window.stats()
+        stats = window_stats(latencies[start : start + args.window])
         breaches = slo_evaluate(stats, slo_cfg)
         alerts = slo_alerts(stats, slo_cfg)
         status = slo_track(status, breaches)
@@ -349,12 +345,7 @@ def cmd_slo(args: argparse.Namespace) -> int:
         windows.append(
             {
                 "index": index,
-                "count": stats.count,
-                "mean_s": stats.mean_s,
-                "std_s": stats.std_s,
-                "p50_s": stats.p50_s,
-                "p90_s": stats.p90_s,
-                "p99_s": stats.p99_s,
+                **asdict(stats),
                 "breaches": sorted(breaches),
                 "alerts": sorted(alerts),
                 "consecutive_breaches": status.consecutive_breaches,
@@ -390,7 +381,7 @@ def _parse_points(text: str):
     for chunk in text.split(","):
         try:
             latency_s, prob_s = chunk.split(":")
-            points.append((float(latency_s), float(prob_s)))
+            points.append((_finite_float(latency_s), _finite_float(prob_s)))
         except ValueError as exc:
             raise UsageError(f"could not parse point {chunk!r}; expected L:P") from exc
     if len(points) != 2:
@@ -401,7 +392,7 @@ def _parse_points(text: str):
 def _parse_anchor(text: str):
     try:
         latency_s, median_s = text.split(":")
-        return float(latency_s), float(median_s)
+        return _finite_float(latency_s), _finite_float(median_s)
     except ValueError as exc:
         raise UsageError(
             f"could not parse hazard anchor {text!r}; expected latency:median"
@@ -426,17 +417,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
             fitted["lambda0"] = calibrate_lambda0(anchor_latency, anchor_median, args.gamma)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+    _write_out(args.out, fitted)
     for name, value in fitted.items():
         print(f"{name}={value:.6f}")
-    _write_out(args.out, fitted)
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write machine-readable JSON here")
+    common = argparse.ArgumentParser(add_help=False, parents=[out])
     common.add_argument("--config", help="JSON config (model params and/or simulation scenario)")
-    common.add_argument("--seed", type=int, help="RNG seed (default 42)")
-    common.add_argument("--out", help="write machine-readable JSON here")
 
     parser = argparse.ArgumentParser(
         prog="latgov",
@@ -445,6 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p_sim = sub.add_parser("simulate", parents=[common], help="run the session simulator")
+    p_sim.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
     p_sim.add_argument("--sessions", type=int, help=f"session count (default {DEFAULT_SESSIONS})")
     p_sim.add_argument(
         "--policy",
@@ -472,10 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_slo.add_argument("--skip-bad", action="store_true")
     p_slo.set_defaults(func=cmd_slo)
 
-    p_fit = sub.add_parser("fit", parents=[common], help="calibrate model coefficients")
+    p_fit = sub.add_parser("fit", parents=[out], help="calibrate model coefficients")
     p_fit.add_argument("--points", help="two conversion points as L1:P1,L2:P2")
     p_fit.add_argument("--hazard-anchor", help="abandonment anchor as latency:median")
-    p_fit.add_argument("--gamma", type=float, default=0.38, help="hazard slope for the anchor")
+    p_fit.add_argument(
+        "--gamma", type=_finite_float, default=0.38, help="hazard slope for the anchor"
+    )
     p_fit.set_defaults(func=cmd_fit)
 
     return parser

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .model import ModelParams, trust_score
+from .model import ModelParams, perceived_latency, trust_score
 from .telemetry import SloStatus
 
 DEFAULT_MAX_CONV_DROP = 0.02
@@ -104,9 +104,7 @@ def decide_simple(
     mean_latency: float, std_latency: float, params: ModelParams
 ) -> Mode:
     """Stateless budget rule on perceived latency mean + k * std."""
-    if mean_latency < 0.0 or std_latency < 0.0:
-        raise ValueError("latency statistics must be non-negative")
-    return _stateless_mode(mean_latency + params.k * std_latency, params)
+    return _stateless_mode(perceived_latency(mean_latency, std_latency, params.k), params)
 
 
 def next_mode(mode: Mode, perceived_latency: float, params: ModelParams) -> Mode:

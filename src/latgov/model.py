@@ -156,10 +156,9 @@ class RevenueParams:
             )
 
 
-def conversion_probability(perceived_latency: float, params: ModelParams) -> float:
-    """P(convert) = sigmoid(alpha - beta * perceived latency)."""
-    lp = _check_latency(perceived_latency, "perceived_latency")
-    return sigmoid(params.alpha - params.beta * lp)
+def conversion_probability(perceived_latency, params: ModelParams):
+    """P(convert) = sigmoid(alpha - beta * perceived latency): the neutral context."""
+    return context_conversion(perceived_latency, ContextProfile(), params)
 
 
 def latency_elasticity(latency: float, params: ModelParams) -> float:
@@ -169,8 +168,11 @@ def latency_elasticity(latency: float, params: ModelParams) -> float:
     return -params.beta * lat * (1.0 - p)
 
 
-def abandonment_hazard(latency: float, params: ModelParams) -> float:
-    """Instantaneous abandon rate lambda0 * exp(gamma * L), per second."""
+def abandonment_hazard(latency, params: ModelParams):
+    """Instantaneous abandon rate lambda0 * exp(gamma * L), per second; float or array."""
+    if isinstance(latency, np.ndarray):
+        with np.errstate(over="ignore"):  # an infinite hazard abandons at once
+            return params.lambda0 * np.exp(params.gamma * latency)
     lat = _check_latency(latency)
     return params.lambda0 * math.exp(params.gamma * lat)
 
@@ -194,20 +196,26 @@ def calibrate_lambda0(
     lat = _check_latency(anchor_latency, "anchor_latency")
     if not anchor_median > 0.0:
         raise ValueError(f"anchor_median must be > 0, got {anchor_median}")
-    return LN2 / (anchor_median * math.exp(gamma * lat))
+    try:
+        lambda0 = LN2 / (anchor_median * math.exp(gamma * lat))
+    except (OverflowError, ZeroDivisionError):
+        lambda0 = 0.0
+    if not 0.0 < lambda0 < math.inf:
+        raise ValueError(f"lambda0 for gamma={gamma} at latency {lat} is out of float range")
+    return lambda0
 
 
-def perceived_latency(
-    mean_latency: float, std_latency: float, k: float, s_u: float = 1.0
-) -> float:
-    """Jitter-penalized effective delay: mean + s_u * k * std."""
-    mean = _check_latency(mean_latency, "mean_latency")
-    std = _check_latency(std_latency, "std_latency")
+def perceived_latency(mean_latency, std_latency, k: float, s_u: float = 1.0):
+    """Jitter-penalized effective delay: mean + s_u * k * std; floats
+    (non-negative) or arrays (elementwise, unchecked)."""
+    if not isinstance(mean_latency, np.ndarray):
+        mean_latency = _check_latency(mean_latency, "mean_latency")
+        std_latency = _check_latency(std_latency, "std_latency")
     if k < 0.0:
         raise ValueError(f"k must be >= 0, got {k}")
     if not s_u > 0.0:
         raise ValueError(f"s_u must be > 0, got {s_u}")
-    return mean + s_u * k * std
+    return mean_latency + s_u * k * std_latency
 
 
 def latency_budget(tau: float, params: ModelParams) -> float:
@@ -219,12 +227,12 @@ def latency_budget(tau: float, params: ModelParams) -> float:
     return (params.alpha - logit(tau)) / params.beta
 
 
-def trust_score(perceived_latency: float, params: ModelParams) -> float:
-    """Map the gap between perceived latency and the budget into (0, 1)."""
-    lp = float(perceived_latency)
-    if math.isnan(lp):
+def trust_score(perceived_latency, params: ModelParams):
+    """Map the gap between perceived latency and the budget into (0, 1);
+    float (not NaN) or array (elementwise)."""
+    if not isinstance(perceived_latency, np.ndarray) and math.isnan(perceived_latency):
         raise ValueError("perceived_latency must not be NaN")
-    return sigmoid(-params.eta * (lp - params.budget_b_l))
+    return sigmoid(-params.eta * (perceived_latency - params.budget_b_l))
 
 
 def latency_utility(
@@ -234,11 +242,10 @@ def latency_utility(
     return delta_conv - params.lambda1 * delta_churn - params.lambda2 * delta_trust
 
 
-def context_conversion(
-    latency: float, ctx: ContextProfile, params: ModelParams
-) -> float:
-    """Conversion with the context multiplier applied to latency sensitivity."""
-    lat = _check_latency(latency)
+def context_conversion(latency, ctx: ContextProfile, params: ModelParams):
+    """Conversion with the context multiplier applied to latency sensitivity;
+    float (non-negative) or array (elementwise, unchecked)."""
+    lat = latency if isinstance(latency, np.ndarray) else _check_latency(latency)
     return sigmoid(params.alpha - params.beta * ctx.m_c * lat)
 
 

@@ -21,7 +21,8 @@ and only converted sessions can repeat.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from statistics import NormalDist
 from typing import Dict, List, Optional, Tuple
 
@@ -34,30 +35,41 @@ from .model import (
     abandonment_hazard,
     context_conversion,
     perceived_latency,
-    sigmoid,
     trust_score,
 )
-from .telemetry import WindowStats, nearest_rank, rolling_mean_std
+from .telemetry import ROLLING_BLOCK, WindowStats, nearest_rank, rolling_mean_std
 
 OUTCOME_MODEL = "survive-then-convert"
 
 POLICY_KINDS = ("none", "static_messaging", "letw")
 
-# Sessions per block of array work in simulate_paths; blocks keep the
-# temporaries small next to the per-session arrays.
-SESSION_BLOCK = 4_096
-
 _STD_NORMAL = NormalDist()
 
 
+def _fits(value, hint) -> bool:
+    """Whether a decoded JSON value fits an annotated field type."""
+    if typing.get_origin(hint) is typing.Union:  # Optional[...]
+        return any(_fits(value, arg) for arg in typing.get_args(hint))
+    types = (int, float) if hint is float else typing.get_origin(hint) or hint
+    return isinstance(value, types) and (hint is bool or not isinstance(value, bool))
+
+
 def _from_doc(cls, doc: dict, what: str):
-    """Build a dataclass from a plain dict, rejecting unknown keys."""
+    """Build a dataclass from a plain dict, rejecting unknown keys and
+    values that do not fit their field's annotated type."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    hints = typing.get_type_hints(cls)
     known = {f.name for f in fields(cls)}
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ValueError(f"unknown {what} field(s): {', '.join(unknown)}")
+    for name, value in doc.items():
+        hint = hints[name]
+        if not _fits(value, hint):
+            raise ValueError(
+                f"{what} field {name} must be {getattr(hint, '__name__', hint)}, got {value!r}"
+            )
     return cls(**doc)
 
 
@@ -81,11 +93,16 @@ class RailDistribution:
             raise ValueError(f"median must be > 0, got {median_s}")
         return cls(mu_log=math.log(median_s), sigma_log=sigma_log, shift_s=shift_s)
 
+    def latency(self, z):
+        """Latency exp(mu + sigma * z) + shift at standard-normal z; float or array."""
+        exp = np.exp if isinstance(z, np.ndarray) else math.exp
+        return exp(self.mu_log + self.sigma_log * z) + self.shift_s
+
     def quantile(self, q: float) -> float:
         """Analytic quantile of the latency distribution."""
         if not (0.0 < q < 1.0):
             raise ValueError(f"q must be inside (0, 1), got {q}")
-        return math.exp(self.mu_log + self.sigma_log * _STD_NORMAL.inv_cdf(q)) + self.shift_s
+        return self.latency(_STD_NORMAL.inv_cdf(q))
 
 
 @dataclass(frozen=True)
@@ -151,15 +168,9 @@ class SimConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
         doc = dict(doc)
-        for key, sub_cls, what in (
-            ("rail", RailDistribution, "rail"),
-            ("policy", PolicySpec, "policy"),
-            ("params", ModelParams, "params"),
-            ("ctx", ContextProfile, "ctx"),
-            ("mitigation", Mitigation, "mitigation"),
-        ):
-            if key in doc and isinstance(doc[key], dict):
-                doc[key] = _from_doc(sub_cls, doc[key], what)
+        for f in fields(cls):
+            if f.default_factory is not MISSING and isinstance(doc.get(f.name), dict):
+                doc[f.name] = _from_doc(f.default_factory, doc[f.name], f.name)
         return _from_doc(cls, doc, "simulation config")
 
     def to_dict(self) -> dict:
@@ -225,16 +236,8 @@ class SessionOutcome:
 
 
 def sample_latency(rng: np.random.Generator, rail: RailDistribution) -> float:
-    """One confirmation-latency draw: exp(mu + sigma * z) + shift."""
-    z = rng.standard_normal()
-    return math.exp(rail.mu_log + rail.sigma_log * z) + rail.shift_s
-
-
-def sample_latencies(
-    rng: np.random.Generator, rail: RailDistribution, n: int
-) -> np.ndarray:
-    z = rng.standard_normal(n)
-    return np.exp(rail.mu_log + rail.sigma_log * z) + rail.shift_s
+    """One confirmation-latency draw from the rail."""
+    return rail.latency(rng.standard_normal())
 
 
 def draw_variates(
@@ -307,13 +310,19 @@ def simulate_paths(cfg: SimConfig) -> SessionTrace:
     params = cfg.params
     rng = np.random.default_rng(cfg.seed)
     latency_z, patience, u_convert, u_repeat = draw_variates(rng, n)
-    latencies = np.exp(cfg.rail.mu_log + cfg.rail.sigma_log * latency_z) + cfg.rail.shift_s
-    del latency_z
-
-    perceived, std = rolling_mean_std(latencies, cfg.window_capacity, include_current=False)
-    std *= params.k
-    perceived += std
+    blocks = [slice(start, min(start + ROLLING_BLOCK, n)) for start in range(0, n, ROLLING_BLOCK)]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are rejected below
+        latencies = cfg.rail.latency(latency_z)
+        del latency_z
+        perceived, std = rolling_mean_std(latencies, cfg.window_capacity, include_current=False)
+        for b in blocks:
+            perceived[b] = perceived_latency(perceived[b], std[b], params.k)
     del std
+    if not (np.isfinite(latencies).all() and np.isfinite(perceived).all()):
+        raise ValueError(
+            "latencies or perceived latencies overflow a float; lower the rail's "
+            "mu_log, sigma_log or shift_s, or params.k"
+        )
 
     mode = np.zeros(n, dtype=np.int8)
     trust = np.empty(n)
@@ -322,8 +331,7 @@ def simulate_paths(cfg: SimConfig) -> SessionTrace:
     repeated = np.empty(n, dtype=np.bool_)
     multipliers = np.array(cfg.mitigation.multipliers)
     gov_mode, code, transitions = Mode.INSTANT, 0, 0
-    for start in range(0, n, SESSION_BLOCK):
-        b = slice(start, min(start + SESSION_BLOCK, n))
+    for b in blocks:
         lp = perceived[b]
         if cfg.policy.kind == "static_messaging":
             mode[b] = latencies[b] > cfg.policy.static_threshold_s
@@ -336,11 +344,10 @@ def simulate_paths(cfg: SimConfig) -> SessionTrace:
                     transitions += 1
                 codes.append(code)
             mode[b] = codes
-        trust[b] = sigmoid(-params.eta * (lp - params.budget_b_l))
-        with np.errstate(over="ignore"):  # an infinite hazard abandons at once
-            rate = multipliers[mode[b]] * params.lambda0 * np.exp(params.gamma * lp)
+        trust[b] = trust_score(lp, params)
+        rate = multipliers[mode[b]] * abandonment_hazard(lp, params)
         abandoned[b] = patience[b] / rate < latencies[b]
-        p_convert = sigmoid(params.alpha - params.beta * cfg.ctx.m_c * lp)
+        p_convert = context_conversion(lp, cfg.ctx, params)
         converted[b] = ~abandoned[b] & (u_convert[b] < p_convert)
         repeated[b] = converted[b] & (u_repeat[b] < cfg.engagement_ceiling * trust[b])
     return SessionTrace(

@@ -9,29 +9,20 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Deque, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 UX_MODES = ("instant", "soft", "deferred")
 
-REQUIRED_FIELDS = (
-    "session_id",
-    "intent_ts",
-    "confirm_ts",
-    "media_rtt_ms",
-    "media_jitter_ms",
-    "ux_mode",
-    "engaged_60s",
-)
-OPTIONAL_FIELDS = ("region", "device")
-
 DEFAULT_WINDOW_CAPACITY = 256
 
-# Outputs rolling_mean_std computes per pass (rounded to whole windows);
-# passes keep its temporaries small.
+# Values per pass of array work (rolling_mean_std's outputs, rounded to
+# whole windows, and the simulator's sessions); passes keep the
+# temporaries small.
 ROLLING_BLOCK = 4_096
 
 # Metric names used in SLO breach sets.
@@ -78,27 +69,19 @@ class TelemetryEvent:
     device: Optional[str] = None
 
     def to_dict(self) -> dict:
-        doc = {
-            "session_id": self.session_id,
-            "intent_ts": self.intent_ts,
-            "confirm_ts": self.confirm_ts,
-            "media_rtt_ms": self.media_rtt_ms,
-            "media_jitter_ms": self.media_jitter_ms,
-            "ux_mode": self.ux_mode,
-            "engaged_60s": self.engaged_60s,
-        }
-        if self.region is not None:
-            doc["region"] = self.region
-        if self.device is not None:
-            doc["device"] = self.device
-        return doc
+        return {k: v for k, v in asdict(self).items() if v is not None}
+
+
+REQUIRED_FIELDS = tuple(f.name for f in fields(TelemetryEvent) if f.default is MISSING)
+OPTIONAL_FIELDS = tuple(f.name for f in fields(TelemetryEvent) if f.default is not MISSING)
 
 
 def _require_int(doc: dict, field: str, line: Optional[int]) -> int:
     value = doc[field]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, int) or not -(2**63) <= value < 2**63:
         raise TelemetrySchemaError(
-            f"field '{field}' must be an integer millisecond timestamp, got {value!r}",
+            f"field '{field}' must be a signed 64-bit integer millisecond timestamp, "
+            f"got {value!r}",
             line,
         )
     return value
@@ -108,10 +91,9 @@ def _require_number(doc: dict, field: str, line: Optional[int]) -> float:
     value = doc[field]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TelemetrySchemaError(f"field '{field}' must be numeric, got {value!r}", line)
-    value = float(value)
-    if not (math.isfinite(value) and value >= 0.0):
+    if not 0.0 <= value <= sys.float_info.max:  # exact for a huge int; float() would overflow
         raise TelemetrySchemaError(f"field '{field}' must be finite and >= 0, got {value}", line)
-    return value
+    return float(value)
 
 
 def event_from_dict(doc: dict, line: Optional[int] = None) -> TelemetryEvent:
@@ -243,6 +225,27 @@ class WindowStats:
 EMPTY_STATS = WindowStats(count=0, mean_s=0.0, std_s=0.0, p50_s=0.0, p90_s=0.0, p99_s=0.0)
 
 
+def window_stats(values: Sequence[float]) -> WindowStats:
+    """Mean (fsum), sample std (n-1) and nearest-rank p50/p90/p99 of ``values``."""
+    n = len(values)
+    if n == 0:
+        return EMPTY_STATS
+    mean = math.fsum(values) / n
+    if n > 1:
+        std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
+    else:
+        std = 0.0
+    ordered = sorted(values)
+    return WindowStats(
+        count=n,
+        mean_s=mean,
+        std_s=std,
+        p50_s=nearest_rank(ordered, 0.50),
+        p90_s=nearest_rank(ordered, 0.90),
+        p99_s=nearest_rank(ordered, 0.99),
+    )
+
+
 def rolling_mean_std(
     x, window: int, include_current: bool
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -342,25 +345,7 @@ class LatencyWindow:
         return self
 
     def stats(self) -> WindowStats:
-        n = len(self._values)
-        if n == 0:
-            return EMPTY_STATS
-        values = list(self._values)
-        mean = math.fsum(values) / n
-        if n > 1:
-            ss = math.fsum((v - mean) ** 2 for v in values)
-            std = math.sqrt(ss / (n - 1))
-        else:
-            std = 0.0
-        ordered = sorted(values)
-        return WindowStats(
-            count=n,
-            mean_s=mean,
-            std_s=std,
-            p50_s=nearest_rank(ordered, 0.50),
-            p90_s=nearest_rank(ordered, 0.90),
-            p99_s=nearest_rank(ordered, 0.99),
-        )
+        return window_stats(self._values)
 
 
 @dataclass(frozen=True)
@@ -384,12 +369,9 @@ class SloConfig:
     repeat_min: float = 0.04
 
     def __post_init__(self) -> None:
-        for name in (
-            "p50_max_s", "p90_max_s", "p99_max_s", "jitter_std_max_s",
-            "p90_alert_s", "p99_alert_s", "jitter_alert_s", "conv_min", "repeat_min",
-        ):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0.0:
+                raise ValueError(f"{f.name} must be > 0")
         pairs = (
             ("p90_max_s", "p90_alert_s"),
             ("p99_max_s", "p99_alert_s"),

@@ -1,16 +1,24 @@
 """CLI contract tests: subcommand behavior, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latgov
 from latgov.cli import main
-from latgov.simulator import SimResult
+from latgov.model import ContextProfile, ModelParams
+from latgov.simulator import Mitigation, PolicySpec, RailDistribution, SimConfig, SimResult
+from latgov.telemetry import SloConfig, TelemetryEvent, reject_non_finite
 
 
 def make_event(session_id, latency_s, engaged=False, base_ts=0):
@@ -354,3 +362,168 @@ class TestParser:
 
     def test_bad_flag_value(self):
         assert main(["simulate", "--sessions", "many"]) == 2
+
+
+def run_quietly(argv):
+    """(exit code, stdout, stderr, RuntimeWarnings) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code, out.getvalue(), err.getvalue(), runtime
+
+
+def assert_no_non_finite(path):
+    """Every JSON document (or JSONL line) in ``path`` parses without NaN or Infinity."""
+    if not path.exists():
+        return
+    text = path.read_text()
+    for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+        json.loads(doc, parse_constant=reject_non_finite)
+
+
+HUGE = 10**400
+GOOD_EVENT = json.loads(make_event("s0", 1.0))
+
+
+def huge_field_telemetry(field):
+    bad = dict(GOOD_EVENT, session_id="s1", **{field: HUGE})
+    return "\n".join([json.dumps(GOOD_EVENT), json.dumps(bad)]) + "\n"
+
+
+# (files to write, argv) per input that once ended in a traceback, a NaN or
+# Infinity, or a silently ignored value.
+REPROS = {
+    "rail_sigma_log_1000": ({"cfg.json": '{"rail": {"sigma_log": 1000}}'},
+                            ["simulate", "--config", "cfg.json"]),
+    "rail_mu_log_800": ({"cfg.json": '{"rail": {"mu_log": 800}}'},
+                        ["simulate", "--config", "cfg.json"]),
+    "fit_nan_point": ({}, ["fit", "--points", "nan:0.5,1:0.4"]),
+    "fit_nan_gamma": ({}, ["fit", "--hazard-anchor", "1:7", "--gamma", "nan"]),
+    "config_400_digit_alpha": ({"cfg.json": '{"params": {"alpha": %d}}' % HUGE},
+                               ["simulate", "--config", "cfg.json"]),
+    **{
+        f"{command}_huge_{field}": ({"t.jsonl": huge_field_telemetry(field)},
+                                    [command, "--telemetry", "t.jsonl"])
+        for command in ("replay", "slo", "report")
+        for field in ("confirm_ts", "media_rtt_ms")
+    },
+    "simulate_gamma_5000": ({"cfg.json": '{"params": {"gamma": 5000}}'},
+                            ["simulate", "--config", "cfg.json"]),
+    "replay_gamma_5000": ({"cfg.json": '{"params": {"gamma": 5000}}',
+                           "t.jsonl": make_event("s0", 1.0) + "\n"},
+                          ["replay", "--config", "cfg.json", "--telemetry", "t.jsonl"]),
+    "fit_anchor_5000": ({}, ["fit", "--hazard-anchor", "5000:7"]),
+    "fit_gamma_minus_5000": ({}, ["fit", "--hazard-anchor", "1:7", "--gamma", "-5000"]),
+    **{
+        f"config_{name}": ({"cfg.json": doc}, ["simulate", "--config", "cfg.json"])
+        for name, doc in (
+            ("sessions_1.5", '{"sessions": 1.5}'),
+            ("seed_1.5", '{"seed": 1.5}'),
+            ("window_capacity_2.5", '{"window_capacity": 2.5}'),
+            ("alpha_string", '{"params": {"alpha": "x"}}'),
+            ("mu_log_string", '{"rail": {"mu_log": "x"}}'),
+            ("sessions_true", '{"sessions": true}'),
+        )
+    },
+    "replay_alpha_string": ({"cfg.json": '{"params": {"alpha": "x"}}',
+                             "t.jsonl": make_event("s0", 1.0) + "\n"},
+                            ["replay", "--config", "cfg.json", "--telemetry", "t.jsonl"]),
+    "slo_target_string": ({"cfg.json": '{"slo": {"p90_max_s": "x"}}',
+                           "t.jsonl": make_event("s0", 1.0) + "\n"},
+                          ["slo", "--config", "cfg.json", "--telemetry", "t.jsonl"]),
+    "fit_config_flag": ({}, ["fit", "--config", "nope.json", "--points", "1:0.5,2:0.4"]),
+    "replay_seed_flag": ({"t.jsonl": make_event("s0", 1.0) + "\n"},
+                         ["replay", "--seed", "1", "--telemetry", "t.jsonl"]),
+}
+
+
+class TestBadInputEndsCleanly:
+    @pytest.mark.parametrize("name", sorted(REPROS))
+    def test_exits_with_one_error_line(self, tmp_path, monkeypatch, name):
+        files, argv = REPROS[name]
+        for file_name, text in files.items():
+            (tmp_path / file_name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out.json"
+        code, stdout, stderr, runtime = run_quietly([*argv, "--out", str(out)])
+        assert code in (1, 2), (code, stdout, stderr)
+        assert len([line for line in stderr.splitlines() if "error:" in line]) == 1, stderr
+        assert "Traceback" not in stderr
+        assert not runtime, [str(w.message) for w in runtime]
+        assert not any(token in stdout for token in ("nan", "inf", "NaN", "Infinity")), stdout
+        assert_no_non_finite(out)
+
+    def test_skip_bad_drops_a_huge_timestamp(self, tmp_path):
+        telemetry = tmp_path / "t.jsonl"
+        telemetry.write_text(huge_field_telemetry("confirm_ts"))
+        out = tmp_path / "d.jsonl"
+        assert main(["replay", "--telemetry", str(telemetry), "--skip-bad", "--out", str(out)]) == 0
+        assert [json.loads(line)["session_id"] for line in out.read_text().splitlines()] == ["s0"]
+
+
+WILD = st.sampled_from(
+    [HUGE, 2**64, -(2**64), 1e308, -1e308, 5e-324, 1e-300, "x", "", True, False, None]
+)
+
+
+def wild_section(cls):
+    return st.dictionaries(st.sampled_from([f.name for f in fields(cls)]), WILD, max_size=3)
+
+
+SECTIONS = {
+    "rail": RailDistribution, "policy": PolicySpec, "params": ModelParams,
+    "ctx": ContextProfile, "mitigation": Mitigation,
+}
+TOP_LEVEL = [f.name for f in fields(SimConfig) if f.name not in SECTIONS]
+
+sim_docs = st.builds(
+    lambda top, sections: {"sessions": 500, **top, **sections},
+    st.dictionaries(st.sampled_from(TOP_LEVEL), WILD, max_size=2),
+    st.fixed_dictionaries({}, optional={k: wild_section(c) for k, c in SECTIONS.items()}),
+)
+telemetry_docs = st.fixed_dictionaries(
+    {}, optional={"params": wild_section(ModelParams), "slo": wild_section(SloConfig)}
+)
+wild_events = st.lists(
+    st.dictionaries(st.sampled_from([f.name for f in fields(TelemetryEvent)]), WILD,
+                    min_size=1, max_size=2).map(lambda bad: {**GOOD_EVENT, **bad}),
+    max_size=3,
+)
+
+
+class TestCliFuzz:
+    """Wild config values and telemetry fields end in 0-3, never an exception,
+    and any --out parses without NaN or Infinity."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(doc=sim_docs, policy=st.sampled_from(["letw", "all"]))
+    def test_simulate(self, tmp_path_factory, doc, policy):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        (tmp / "cfg.json").write_text(json.dumps(doc))
+        out = tmp / "out.json"
+        code, *_ = run_quietly(["simulate", "--config", str(tmp / "cfg.json"), "--policy",
+                                policy, "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        assert_no_non_finite(out)
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        doc=telemetry_docs,
+        events=wild_events,
+        command=st.sampled_from(["replay", "slo", "report"]),
+        skip_bad=st.booleans(),
+    )
+    def test_telemetry_commands(self, tmp_path_factory, doc, events, command, skip_bad):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        (tmp / "cfg.json").write_text(json.dumps(doc))
+        lines = [json.dumps(GOOD_EVENT)] * 4 + [json.dumps(e) for e in events]
+        (tmp / "t.jsonl").write_text("\n".join(lines) + "\n")
+        out = tmp / ("out.jsonl" if command == "replay" else "out.json")
+        argv = [command, "--config", str(tmp / "cfg.json"), "--telemetry", str(tmp / "t.jsonl"),
+                "--out", str(out)] + (["--skip-bad"] if skip_bad else [])
+        code, *_ = run_quietly(argv)
+        assert code in (0, 1, 2, 3)
+        assert_no_non_finite(out)

@@ -7,6 +7,7 @@ that is cheap.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,11 @@ class TestCalibrateLambda0:
         with pytest.raises(ValueError):
             calibrate_lambda0(-1.0, 7.0, 0.38)
 
+    @pytest.mark.parametrize("anchor_lat,gamma", [(5000.0, 0.38), (1.0, 5000.0), (1.0, -5000.0)])
+    def test_out_of_float_range_is_value_error(self, anchor_lat, gamma):
+        with pytest.raises(ValueError, match="out of float range"):
+            calibrate_lambda0(anchor_lat, 7.0, gamma)
+
 
 class TestPerceivedLatency:
     def test_high_jitter(self):
@@ -188,6 +194,34 @@ class TestPerceivedLatency:
     def test_rejects_bad_inputs(self, mean, std, k, s_u):
         with pytest.raises(ValueError):
             perceived_latency(mean, std, k, s_u)
+
+
+class TestArrayCurves:
+    """Each curve takes a NumPy array and matches its float path elementwise."""
+
+    LAT = np.array([0.0, 0.4, 1.4, 2.0, 3.3, 8.0])
+    STD = np.array([0.0, 0.1, 0.5, 1.2, 0.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            lambda lat, std: perceived_latency(lat, std, 0.8, 1.5),
+            lambda lat, std: trust_score(lat, PARAMS),
+            lambda lat, std: abandonment_hazard(lat, PARAMS),
+            lambda lat, std: context_conversion(lat, ContextProfile(m_c=1.3), PARAMS),
+            lambda lat, std: conversion_probability(lat, PARAMS),
+        ],
+    )
+    def test_matches_floats(self, curve):
+        got = curve(self.LAT, self.STD)
+        assert isinstance(got, np.ndarray)
+        want = [curve(a, b) for a, b in zip(self.LAT.tolist(), self.STD.tolist())]
+        assert got.tolist() == pytest.approx(want, rel=1e-15)
+
+    def test_overflowing_hazard_is_infinite_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abandonment_hazard(np.array([1.0, 5000.0]), PARAMS)[1] == math.inf
 
 
 class TestLatencyBudget:

@@ -20,7 +20,6 @@ from latgov.simulator import (
     quantile_mode_rows,
     run_burst,
     run_simulation,
-    sample_latencies,
     sample_latency,
     simulate_paths,
     simulate_session,
@@ -74,12 +73,18 @@ class TestRailDistribution:
         rail = RailDistribution.from_median(1.4, 0.5207)
         z = np.random.default_rng(9).standard_normal(100)
         expected = np.exp(rail.mu_log + rail.sigma_log * z)
-        got = sample_latencies(np.random.default_rng(9), rail, 100)
+        got = rail.latency(np.random.default_rng(9).standard_normal(100))
         assert np.array_equal(got, expected)
+
+    def test_latency_float_and_array_agree(self):
+        rail = RailDistribution.from_median(1.4, 0.5207, shift_s=0.3)
+        z = np.random.default_rng(5).standard_normal(50)
+        want = [rail.latency(v) for v in z.tolist()]  # math.exp; np.exp may differ by an ulp
+        assert rail.latency(z).tolist() == pytest.approx(want, rel=1e-15)
 
     def test_empirical_quantiles(self):
         rail = RailDistribution()
-        samples = np.sort(sample_latencies(np.random.default_rng(4), rail, 200_000))
+        samples = np.sort(rail.latency(np.random.default_rng(4).standard_normal(200_000)))
         median = samples[len(samples) // 2 - 1]
         p99 = samples[math.ceil(0.99 * len(samples)) - 1]
         assert median == pytest.approx(1.40, abs=0.02)

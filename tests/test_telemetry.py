@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from latgov.telemetry import (
     EMPTY_STATS,
+    OPTIONAL_FIELDS,
+    REQUIRED_FIELDS,
     LatencyWindow,
     SloConfig,
     SloStatus,
@@ -27,6 +29,7 @@ from latgov.telemetry import (
     slo_alerts,
     slo_evaluate,
     slo_track,
+    window_stats,
 )
 
 GOOD_LINE = json.dumps(
@@ -105,6 +108,10 @@ class TestParsing:
             ("media_jitter_ms", "low"),
             ("session_id", 42),
             ("region", 7),
+            ("confirm_ts", 10**400),
+            ("confirm_ts", 2**63),
+            ("intent_ts", -(2**63) - 1),
+            ("media_rtt_ms", 10**400),
         ],
     )
     def test_bad_types_rejected(self, field, value):
@@ -112,6 +119,18 @@ class TestParsing:
         doc[field] = value
         with pytest.raises(TelemetrySchemaError):
             parse_event(json.dumps(doc))
+
+    def test_field_lists_follow_the_event_dataclass(self):
+        assert REQUIRED_FIELDS == (
+            "session_id",
+            "intent_ts",
+            "confirm_ts",
+            "media_rtt_ms",
+            "media_jitter_ms",
+            "ux_mode",
+            "engaged_60s",
+        )
+        assert OPTIONAL_FIELDS == ("region", "device")
 
     def test_round_trip_lossless(self):
         event = parse_event(GOOD_LINE)
@@ -213,6 +232,16 @@ class TestLatencyWindow:
             window.push(value)
         stats = window.stats()
         assert stats.p50_s <= stats.p90_s <= stats.p99_s
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=60),
+        st.integers(min_value=1, max_value=40),
+    )
+    def test_window_stats_is_the_window_summary(self, values, capacity):
+        window = LatencyWindow(capacity=capacity)
+        for value in values:
+            window.push(value)
+        assert window_stats(values[-capacity:]) == window.stats()
 
 
 def fsum_window_stats(values):
