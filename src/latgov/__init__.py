@@ -61,7 +61,6 @@ from .simulator import (
     quantile_mode_report,
     run_burst,
     run_simulation,
-    sample_latency,
     simulate_session,
 )
 

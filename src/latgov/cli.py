@@ -14,10 +14,11 @@ import json
 import math
 import sys
 from dataclasses import asdict, fields
-from typing import Dict, List, Optional, TextIO
+from typing import List, Optional, TextIO
 
-from .governor import MODE_ORDER, GovernorState, step
-from .model import ModelParams, calibrate_lambda0, fit_logistic_two_point, perceived_latency
+from .governor import MODE_ORDER, modes, reason_for
+from .model import ModelParams, calibrate_lambda0, fit_logistic_two_point
+from .model import perceived_latency, trust_score
 from .simulator import (
     OUTCOME_MODEL,
     SimConfig,
@@ -52,12 +53,7 @@ DEFAULT_SEED = 42
 DEFAULT_SESSIONS = 10_000
 
 _MODEL_FIELD_NAMES = tuple(f.name for f in fields(ModelParams))
-_POLICY_ALIASES = {
-    "none": "none",
-    "static": "static_messaging",
-    "static_messaging": "static_messaging",
-    "letw": "letw",
-}
+_POLICY_ALIASES = {"static": "static_messaging"}
 
 
 class UsageError(Exception):
@@ -164,7 +160,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     policy = args.policy
     if policy != "all":
         policy_doc = dict(doc.get("policy", {}))
-        policy_doc["kind"] = _POLICY_ALIASES[policy]
+        policy_doc["kind"] = _POLICY_ALIASES.get(policy, policy)
         doc["policy"] = policy_doc
 
     try:
@@ -231,30 +227,30 @@ def cmd_replay(args: argparse.Namespace) -> int:
     mean, std = rolling_mean_std(latencies, args.window, include_current=True)
     perceived = perceived_latency(mean, std, params.k).tolist()
 
-    state = GovernorState()
-    mode_counts: Dict[str, int] = {m.value: 0 for m in MODE_ORDER}
+    codes, transitions = modes(perceived, params)
     if args.out:
         sink = open(args.out, "w", encoding="utf-8")
     else:
         sink = contextlib.nullcontext(sys.stdout)
     with sink as out:
-        for session_id, lp in zip(session_ids, perceived):
-            state, decision = step(state, lp, params)
-            mode_counts[decision.mode.value] += 1
+        for session_id, lp, code in zip(session_ids, perceived, codes):
+            mode = MODE_ORDER[code]
             record = {
                 "session_id": session_id,
                 "perceived_latency_s": lp,
-                "trust": decision.trust,
-                "mode": decision.mode.value,
-                "reason": decision.reason.value,
+                "trust": trust_score(lp, params),
+                "mode": mode.value,
+                "reason": reason_for(mode, lp, params).value,
             }
             out.write(
                 json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
             )
 
     total = len(perceived)
-    shares = " ".join(f"{m}={c / total * 100:.1f}%" for m, c in mode_counts.items())
-    summary = f"events={total} transitions={state.transitions} modes: {shares}"
+    shares = " ".join(
+        f"{m.value}={codes.count(i) / total * 100:.1f}%" for i, m in enumerate(MODE_ORDER)
+    )
+    summary = f"events={total} transitions={transitions} modes: {shares}"
     print(summary, file=sys.stdout if args.out else sys.stderr)
     return EXIT_OK
 
@@ -486,14 +482,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return int(args.func(args))
-    except UsageError as exc:
+    except (UsageError, TelemetryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except TelemetryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

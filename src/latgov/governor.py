@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .model import ModelParams, perceived_latency, trust_score
 from .telemetry import SloStatus
@@ -46,10 +46,9 @@ class Reason(enum.Enum):
 
 @dataclass(frozen=True)
 class GovernorState:
-    """Current mode plus bookkeeping; fresh governors start optimistic."""
+    """Current mode plus transition count; fresh governors start optimistic."""
 
     mode: Mode = Mode.INSTANT
-    last_perceived_latency: float = 0.0
     transitions: int = 0
 
     def __post_init__(self) -> None:
@@ -126,35 +125,47 @@ def next_mode(mode: Mode, perceived_latency: float, params: ModelParams) -> Mode
     return Mode.SOFT if lp < params.budget_soft - params.hysteresis_h else Mode.DEFERRED
 
 
+def reason_for(mode: Mode, lp: float, params: ModelParams) -> Reason:
+    """Why the hysteresis rule landed in ``mode`` on observing perceived latency ``lp``."""
+    if mode is Mode.INSTANT:
+        return Reason.WITHIN_BUDGET
+    if mode is Mode.SOFT:
+        return Reason.BUDGET_EXCEEDED if lp > params.budget_b_l else Reason.HYSTERESIS_HOLD
+    return Reason.SOFT_LIMIT_EXCEEDED if lp > params.budget_soft else Reason.HYSTERESIS_HOLD
+
+
+def modes(
+    perceived: Sequence[float], params: ModelParams, start: Mode = Mode.INSTANT
+) -> Tuple[List[int], int]:
+    """Run :func:`next_mode` over perceived latencies from ``start``, unchecked: the
+    :data:`MODE_ORDER` index after each value, and the number of mode changes."""
+    mode, code, transitions = start, start.index, 0
+    codes = []
+    for lp in perceived:
+        new_mode = next_mode(mode, lp, params)
+        if new_mode is not mode:
+            mode, code = new_mode, new_mode.index
+            transitions += 1
+        codes.append(code)
+    return codes, transitions
+
+
 def step(
     state: GovernorState, perceived_latency: float, params: ModelParams
 ) -> Tuple[GovernorState, Decision]:
     """Advance the hysteresis state machine (:func:`next_mode`) by one
-    observation and explain the resulting mode."""
+    observation and explain the resulting mode (:func:`reason_for`)."""
     lp = float(perceived_latency)
     if math.isnan(lp) or lp < 0.0:
         raise ValueError(f"perceived latency must be non-negative, got {lp}")
 
-    mode = state.mode
-    new_mode = next_mode(mode, lp, params)
-
-    if new_mode is Mode.INSTANT:
-        reason = Reason.WITHIN_BUDGET
-    elif new_mode is Mode.SOFT:
-        reason = Reason.BUDGET_EXCEEDED if lp > params.budget_b_l else Reason.HYSTERESIS_HOLD
-    else:
-        reason = Reason.SOFT_LIMIT_EXCEEDED if lp > params.budget_soft else Reason.HYSTERESIS_HOLD
-
-    next_state = GovernorState(
-        mode=new_mode,
-        last_perceived_latency=lp,
-        transitions=state.transitions + (1 if new_mode is not mode else 0),
-    )
+    new_mode = next_mode(state.mode, lp, params)
+    next_state = GovernorState(new_mode, state.transitions + (new_mode is not state.mode))
     decision = Decision(
         mode=new_mode,
         trust=trust_score(lp, params),
         perceived_latency=lp,
-        reason=reason,
+        reason=reason_for(new_mode, lp, params),
     )
     return next_state, decision
 
@@ -162,11 +173,7 @@ def step(
 def apply_slo_escalation(state: GovernorState, slo: SloStatus) -> GovernorState:
     """Force Instant down to Soft on sustained SLO breach; never relaxes."""
     if slo.escalated and state.mode is Mode.INSTANT:
-        return GovernorState(
-            mode=Mode.SOFT,
-            last_perceived_latency=state.last_perceived_latency,
-            transitions=state.transitions + 1,
-        )
+        return GovernorState(mode=Mode.SOFT, transitions=state.transitions + 1)
     return state
 
 

@@ -230,7 +230,10 @@ def latency_budget(tau: float, params: ModelParams) -> float:
 def trust_score(perceived_latency, params: ModelParams):
     """Map the gap between perceived latency and the budget into (0, 1);
     float (not NaN) or array (elementwise)."""
-    if not isinstance(perceived_latency, np.ndarray) and math.isnan(perceived_latency):
+    if isinstance(perceived_latency, np.ndarray):
+        with np.errstate(over="ignore"):  # the sigmoid of +-inf is exact
+            return sigmoid(-params.eta * (perceived_latency - params.budget_b_l))
+    if math.isnan(perceived_latency):
         raise ValueError("perceived_latency must not be NaN")
     return sigmoid(-params.eta * (perceived_latency - params.budget_b_l))
 

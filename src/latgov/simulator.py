@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .governor import MODE_ORDER, GovernorState, Mode, decide_simple, next_mode, step
+from .governor import MODE_ORDER, GovernorState, Mode, decide_simple, modes, step
 from .model import (
     ContextProfile,
     ModelParams,
@@ -164,6 +164,8 @@ class SimConfig:
             )
         if self.window_capacity < 1:
             raise ValueError(f"window_capacity must be >= 1, got {self.window_capacity}")
+        if not math.isfinite(self.params.beta * self.ctx.m_c):
+            raise ValueError("params.beta * ctx.m_c overflows a float; lower either")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
@@ -235,11 +237,6 @@ class SessionOutcome:
     repeated: bool
 
 
-def sample_latency(rng: np.random.Generator, rail: RailDistribution) -> float:
-    """One confirmation-latency draw from the rail."""
-    return rail.latency(rng.standard_normal())
-
-
 def draw_variates(
     rng: np.random.Generator, n: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -303,8 +300,9 @@ def simulate_paths(cfg: SimConfig) -> SessionTrace:
     """Simulate every session and return per-session arrays.
 
     Window statistics, trust, hazard and conversion are array arithmetic
-    over blocks of sessions; only the ``letw`` governor, whose mode depends
-    on the previous one, steps session by session.
+    over blocks of sessions; the ``letw`` governor, whose mode depends on
+    the previous one, runs :func:`governor.modes` over each block and
+    passes its last mode on to the next.
     """
     n = cfg.sessions
     params = cfg.params
@@ -330,23 +328,20 @@ def simulate_paths(cfg: SimConfig) -> SessionTrace:
     converted = np.empty(n, dtype=np.bool_)
     repeated = np.empty(n, dtype=np.bool_)
     multipliers = np.array(cfg.mitigation.multipliers)
-    gov_mode, code, transitions = Mode.INSTANT, 0, 0
+    gov_mode, transitions = Mode.INSTANT, 0
     for b in blocks:
         lp = perceived[b]
         if cfg.policy.kind == "static_messaging":
             mode[b] = latencies[b] > cfg.policy.static_threshold_s
         elif cfg.policy.kind == "letw":
-            codes = []
-            for value in lp.tolist():
-                new_mode = next_mode(gov_mode, value, params)
-                if new_mode is not gov_mode:
-                    gov_mode, code = new_mode, new_mode.index
-                    transitions += 1
-                codes.append(code)
+            codes, changes = modes(lp.tolist(), params, gov_mode)
             mode[b] = codes
+            gov_mode = MODE_ORDER[codes[-1]]
+            transitions += changes
         trust[b] = trust_score(lp, params)
         rate = multipliers[mode[b]] * abandonment_hazard(lp, params)
-        abandoned[b] = patience[b] / rate < latencies[b]
+        with np.errstate(divide="ignore", over="ignore"):  # a zero hazard never abandons
+            abandoned[b] = patience[b] / rate < latencies[b]
         p_convert = context_conversion(lp, cfg.ctx, params)
         converted[b] = ~abandoned[b] & (u_convert[b] < p_convert)
         repeated[b] = converted[b] & (u_repeat[b] < cfg.engagement_ceiling * trust[b])

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import latgov
 from latgov.cli import main
+from latgov.governor import GovernorState, Reason, step
 from latgov.model import ContextProfile, ModelParams
 from latgov.simulator import Mitigation, PolicySpec, RailDistribution, SimConfig, SimResult
 from latgov.telemetry import SloConfig, TelemetryEvent, reject_non_finite
@@ -174,6 +175,32 @@ class TestReplay:
         assert modes[0] == "instant"
         assert modes[-1] == "deferred"
         assert "soft" in modes
+
+    def test_ramp_up_and_down_matches_step_fold(self, tmp_path, capsys):
+        # Window 1 makes each perceived latency the event's own latency.
+        up = [0.5 + 0.25 * i for i in range(15)]  # 0.5 .. 4.0
+        telemetry = tmp_path / "ramp.jsonl"
+        write_telemetry(telemetry, up + up[-2::-1] + [4.0, 0.5, 0.5])
+        out = tmp_path / "d.jsonl"
+        argv = ["replay", "--telemetry", str(telemetry), "--window", "1", "--out", str(out)]
+        assert main(argv) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        state, seen = GovernorState(), set()
+        params = ModelParams()
+        for record in records:
+            state, decision = step(state, record["perceived_latency_s"], params)
+            assert record["mode"] == decision.mode.value
+            assert record["reason"] == decision.reason.value
+            assert record["trust"] == decision.trust
+            seen.add((decision.mode.value, decision.reason))
+        assert seen == {
+            ("instant", Reason.WITHIN_BUDGET),
+            ("soft", Reason.BUDGET_EXCEEDED),
+            ("soft", Reason.HYSTERESIS_HOLD),
+            ("deferred", Reason.SOFT_LIMIT_EXCEEDED),
+            ("deferred", Reason.HYSTERESIS_HOLD),
+        }
+        assert f"transitions={state.transitions} " in capsys.readouterr().out
 
     def test_malformed_line_number_reported(self, tmp_path, capsys):
         telemetry = tmp_path / "bad.jsonl"
@@ -434,6 +461,9 @@ REPROS = {
     "slo_target_string": ({"cfg.json": '{"slo": {"p90_max_s": "x"}}',
                            "t.jsonl": make_event("s0", 1.0) + "\n"},
                           ["slo", "--config", "cfg.json", "--telemetry", "t.jsonl"]),
+    "config_beta_times_m_c_overflows": (
+        {"cfg.json": '{"params": {"beta": 1e308}, "ctx": {"m_c": 1e10}}'},
+        ["simulate", "--config", "cfg.json"]),
     "fit_config_flag": ({}, ["fit", "--config", "nope.json", "--points", "1:0.5,2:0.4"]),
     "replay_seed_flag": ({"t.jsonl": make_event("s0", 1.0) + "\n"},
                          ["replay", "--seed", "1", "--telemetry", "t.jsonl"]),
@@ -456,12 +486,46 @@ class TestBadInputEndsCleanly:
         assert not any(token in stdout for token in ("nan", "inf", "NaN", "Infinity")), stdout
         assert_no_non_finite(out)
 
+    def test_out_of_memory(self, monkeypatch):
+        def exhausted(rng, n):
+            raise MemoryError("Unable to allocate 763. MiB")
+
+        monkeypatch.setattr("latgov.simulator.draw_variates", exhausted)
+        code, _, stderr, _ = run_quietly(["simulate", "--sessions", "100"])
+        assert code == 1
+        assert len([line for line in stderr.splitlines() if "error:" in line]) == 1, stderr
+        assert "Traceback" not in stderr
+
     def test_skip_bad_drops_a_huge_timestamp(self, tmp_path):
         telemetry = tmp_path / "t.jsonl"
         telemetry.write_text(huge_field_telemetry("confirm_ts"))
         out = tmp_path / "d.jsonl"
         assert main(["replay", "--telemetry", str(telemetry), "--skip-bad", "--out", str(out)]) == 0
         assert [json.loads(line)["session_id"] for line in out.read_text().splitlines()] == ["s0"]
+
+
+# Accepted configs whose arithmetic overflows to +-inf or divides by zero
+# where that limit is the right answer.
+EXTREME_CONFIGS = {
+    "k_1e308": {"params": {"k": 1e308}},
+    "lambda0_5e-324": {"params": {"lambda0": 5e-324}},
+    "rho_5e-324": {"mitigation": {"rho_soft": 5e-324, "rho_deferred": 5e-324}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTREME_CONFIGS))
+def test_extreme_config_runs_quietly(tmp_path, name):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(EXTREME_CONFIGS[name]))
+    out = tmp_path / "out.json"
+    code, stdout, stderr, runtime = run_quietly(
+        ["simulate", "--config", str(config), "--sessions", "2000", "--policy", "all",
+         "--out", str(out)]
+    )
+    assert code == 0, stderr
+    assert not runtime, [str(w.message) for w in runtime]
+    assert not any(token in stdout for token in ("nan", "inf", "NaN", "Infinity")), stdout
+    assert_no_non_finite(out)
 
 
 WILD = st.sampled_from(

@@ -12,6 +12,7 @@ from latgov.governor import (
     RolloutState,
     apply_slo_escalation,
     decide_simple,
+    modes,
     rollout_guard,
     select_mode_by_trust,
     step,
@@ -25,6 +26,16 @@ PARAMS = ModelParams()  # budget 2.0, soft limit 3.0, h 0.25, k 0.8
 # Instant nor spill into Deferred.
 BAND_LO = PARAMS.budget_b_l - PARAMS.hysteresis_h   # 1.75
 BAND_HI = PARAMS.budget_soft - PARAMS.hysteresis_h  # 2.75
+
+
+# Every boundary of the hysteresis rule, and values on and within 1e-12 of them.
+THRESHOLDS = (BAND_LO, PARAMS.budget_b_l, BAND_HI, PARAMS.budget_soft)
+near_threshold = st.builds(
+    lambda t, d: t + d,
+    st.sampled_from(THRESHOLDS),
+    st.sampled_from([0.0, -1e-12, 1e-12]) | st.floats(min_value=-1e-12, max_value=1e-12),
+)
+lp_streams = st.lists(near_threshold | st.floats(min_value=0.0, max_value=6.0), max_size=120)
 
 
 def run_sequence(lps, state=None, params=PARAMS):
@@ -89,11 +100,13 @@ class TestStep:
             (Mode.SOFT, 1.80, Mode.SOFT, Reason.HYSTERESIS_HOLD),
             (Mode.SOFT, 1.75, Mode.SOFT, Reason.HYSTERESIS_HOLD),
             (Mode.SOFT, 1.74, Mode.INSTANT, Reason.WITHIN_BUDGET),
+            (Mode.SOFT, 2.0, Mode.SOFT, Reason.HYSTERESIS_HOLD),      # budget boundary
             (Mode.SOFT, 2.5, Mode.SOFT, Reason.BUDGET_EXCEEDED),
             (Mode.SOFT, 3.2, Mode.DEFERRED, Reason.SOFT_LIMIT_EXCEEDED),
             (Mode.SOFT, 3.0, Mode.SOFT, Reason.BUDGET_EXCEEDED),
             (Mode.DEFERRED, 2.70, Mode.SOFT, Reason.BUDGET_EXCEEDED),
             (Mode.DEFERRED, 2.75, Mode.DEFERRED, Reason.HYSTERESIS_HOLD),
+            (Mode.DEFERRED, 3.0, Mode.DEFERRED, Reason.HYSTERESIS_HOLD),  # soft boundary
             (Mode.DEFERRED, 3.5, Mode.DEFERRED, Reason.SOFT_LIMIT_EXCEEDED),
             (Mode.DEFERRED, 1.0, Mode.SOFT, Reason.HYSTERESIS_HOLD),  # one hop only
             (Mode.INSTANT, 3.5, Mode.SOFT, Reason.BUDGET_EXCEEDED),   # one hop only
@@ -112,10 +125,6 @@ class TestStep:
         state, _ = run_sequence([1.0, 2.5, 2.5, 3.5, 1.0, 1.0])
         # instant -> soft -> deferred -> soft -> instant
         assert state.transitions == 4
-
-    def test_last_perceived_latency_tracked(self):
-        state, _ = step(GovernorState(), 1.23, PARAMS)
-        assert state.last_perceived_latency == 1.23
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -161,6 +170,32 @@ class TestStep:
         for _ in range(2):
             state, _ = step(state, lp, PARAMS)
         assert state.mode is decide_simple(lp, 0.0, PARAMS)
+
+
+def step_fold(lps, start=Mode.INSTANT):
+    """(mode codes, transitions) of :func:`step` run over ``lps`` from ``start``."""
+    state, codes = run_sequence(lps, GovernorState(mode=start))
+    return [m.index for m in codes], state.transitions
+
+
+class TestModes:
+    @given(lps=lp_streams, start=st.sampled_from(MODE_ORDER))
+    @settings(derandomize=True, max_examples=300)
+    def test_matches_step_fold(self, lps, start):
+        assert modes(lps, PARAMS, start) == step_fold(lps, start)
+
+    @given(lps=lp_streams, start=st.sampled_from(MODE_ORDER), data=st.data())
+    @settings(derandomize=True, max_examples=200)
+    def test_split_stream_passes_mode_on(self, lps, start, data):
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(lps)), max_size=6)))
+        mode, codes, transitions = start, [], 0
+        for lo, hi in zip([0, *cuts], [*cuts, len(lps)]):
+            piece, changes = modes(lps[lo:hi], PARAMS, mode)
+            if piece:
+                mode = MODE_ORDER[piece[-1]]
+            codes += piece
+            transitions += changes
+        assert (codes, transitions) == step_fold(lps, start)
 
 
 class TestSloEscalation:

@@ -7,7 +7,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
-from latgov.governor import GovernorState, Mode
+from latgov.governor import GovernorState, Mode, step
 from latgov.model import ContextProfile, ModelParams, sigmoid
 from latgov.simulator import (
     Mitigation,
@@ -20,12 +20,11 @@ from latgov.simulator import (
     quantile_mode_rows,
     run_burst,
     run_simulation,
-    sample_latency,
     simulate_paths,
     simulate_session,
     summarize_trace,
 )
-from latgov.telemetry import WindowStats
+from latgov.telemetry import ROLLING_BLOCK, WindowStats
 
 Z90 = 1.2815515655446004
 Z99 = 2.3263478740408408
@@ -67,7 +66,7 @@ class TestRailDistribution:
         rng = np.random.default_rng(1)
         rail = RailDistribution.from_median(1.4, 0.0)
         for _ in range(5):
-            assert sample_latency(rng, rail) == pytest.approx(1.4, abs=1e-12)
+            assert rail.latency(rng.standard_normal()) == pytest.approx(1.4, abs=1e-12)
 
     def test_sampling_matches_formula(self):
         rail = RailDistribution.from_median(1.4, 0.5207)
@@ -99,6 +98,8 @@ class TestConfigValidation:
     def test_other_invariants(self):
         with pytest.raises(ValueError):
             SimConfig(sessions=10, seed=-1)
+        with pytest.raises(ValueError, match="beta"):
+            SimConfig(sessions=10, params=ModelParams(beta=1e308), ctx=ContextProfile(m_c=1e10))
         with pytest.raises(ValueError):
             SimConfig(sessions=10, engagement_ceiling=0.0)
         with pytest.raises(ValueError):
@@ -365,6 +366,21 @@ class TestSimulateSession:
         )
         assert outcome.mode is Mode.INSTANT
         assert next_gov == gov
+
+
+def test_letw_mode_carries_across_blocks():
+    # A rail median near the budget keeps letw off instant at block edges.
+    cfg = SimConfig(
+        sessions=3 * ROLLING_BLOCK + 17, seed=3, rail=RailDistribution.from_median(1.17, 0.5207)
+    )
+    trace = simulate_paths(cfg)
+    state, codes = GovernorState(), []
+    for lp in trace.perceived_s.tolist():
+        state, decision = step(state, lp, cfg.params)
+        codes.append(decision.mode.index)
+    assert trace.mode.tolist() == codes
+    assert trace.governor_transitions == state.transitions
+    assert trace.mode[ROLLING_BLOCK - 1 :: ROLLING_BLOCK].any()
 
 
 class TestQuantileModeReport:
