@@ -17,8 +17,7 @@ from dataclasses import asdict, fields
 from typing import List, Optional, TextIO
 
 from .governor import MODE_ORDER, modes, reason_for
-from .model import ModelParams, calibrate_lambda0, fit_logistic_two_point
-from .model import perceived_latency, trust_score
+from .model import ModelParams, calibrate_lambda0, fit_logistic_two_point, trust_score
 from .simulator import (
     OUTCOME_MODEL,
     SimConfig,
@@ -35,9 +34,8 @@ from .telemetry import (
     TelemetryError,
     confirmation_latency,
     iter_events,
-    nearest_rank,
+    perceived_stream,
     reject_non_finite,
-    rolling_mean_std,
     slo_alerts,
     slo_evaluate,
     slo_track,
@@ -224,9 +222,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print("error: no telemetry events to replay", file=sys.stderr)
         return EXIT_RUNTIME
 
-    mean, std = rolling_mean_std(latencies, args.window, include_current=True)
-    perceived = perceived_latency(mean, std, params.k).tolist()
-
+    perceived = perceived_stream(latencies, args.window, include_current=True, k=params.k).tolist()
     codes, transitions = modes(perceived, params)
     if args.out:
         sink = open(args.out, "w", encoding="utf-8")
@@ -273,12 +269,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not latencies:
             print("error: empty telemetry input", file=sys.stderr)
             return EXIT_RUNTIME
-        ordered = sorted(latencies)
-        quantiles = {
-            "p50": nearest_rank(ordered, 0.50),
-            "p90": nearest_rank(ordered, 0.90),
-            "p99": nearest_rank(ordered, 0.99),
-        }
+        stats = window_stats(latencies)
+        quantiles = {"p50": stats.p50_s, "p90": stats.p90_s, "p99": stats.p99_s}
         repeat_rate = engaged / len(latencies)
         flag = "  [ALERT: below repeat floor]" if repeat_rate < slo_cfg.repeat_min else ""
         behavior_lines.append(f"repeat engagement: {repeat_rate * 100:.1f}%{flag}")

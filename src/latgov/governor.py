@@ -11,10 +11,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .model import ModelParams, perceived_latency, trust_score
-from .telemetry import SloStatus
+from .model import ModelParams, check_latency, perceived_latency, trust_score
+
+if TYPE_CHECKING:  # telemetry imports Mode from here
+    from .telemetry import SloStatus
 
 DEFAULT_MAX_CONV_DROP = 0.02
 
@@ -155,9 +157,7 @@ def step(
 ) -> Tuple[GovernorState, Decision]:
     """Advance the hysteresis state machine (:func:`next_mode`) by one
     observation and explain the resulting mode (:func:`reason_for`)."""
-    lp = float(perceived_latency)
-    if math.isnan(lp) or lp < 0.0:
-        raise ValueError(f"perceived latency must be non-negative, got {lp}")
+    lp = check_latency(perceived_latency, "perceived latency")
 
     new_mode = next_mode(state.mode, lp, params)
     next_state = GovernorState(new_mode, state.transitions + (new_mode is not state.mode))

@@ -49,7 +49,8 @@ def logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
-def _check_latency(value: float, name: str = "latency") -> float:
+def check_latency(value: float, name: str = "latency") -> float:
+    """``value`` as a float; raises ``ValueError`` when it is NaN or negative."""
     value = float(value)
     if math.isnan(value):
         raise ValueError(f"{name} must not be NaN")
@@ -163,7 +164,7 @@ def conversion_probability(perceived_latency, params: ModelParams):
 
 def latency_elasticity(latency: float, params: ModelParams) -> float:
     """-beta * L * (1 - P), the proportional conversion sensitivity; <= 0."""
-    lat = _check_latency(latency)
+    lat = check_latency(latency)
     p = conversion_probability(lat, params)
     return -params.beta * lat * (1.0 - p)
 
@@ -173,8 +174,11 @@ def abandonment_hazard(latency, params: ModelParams):
     if isinstance(latency, np.ndarray):
         with np.errstate(over="ignore"):  # an infinite hazard abandons at once
             return params.lambda0 * np.exp(params.gamma * latency)
-    lat = _check_latency(latency)
-    return params.lambda0 * math.exp(params.gamma * lat)
+    lat = check_latency(latency)
+    try:
+        return params.lambda0 * math.exp(params.gamma * lat)
+    except OverflowError:  # as in the array branch
+        return math.inf
 
 
 def median_abandon_time(latency: float, params: ModelParams) -> float:
@@ -193,7 +197,7 @@ def calibrate_lambda0(
     Round-trips: ``median_abandon_time(anchor_latency)`` with the returned
     baseline equals ``anchor_median``.
     """
-    lat = _check_latency(anchor_latency, "anchor_latency")
+    lat = check_latency(anchor_latency, "anchor_latency")
     if not anchor_median > 0.0:
         raise ValueError(f"anchor_median must be > 0, got {anchor_median}")
     try:
@@ -209,8 +213,8 @@ def perceived_latency(mean_latency, std_latency, k: float, s_u: float = 1.0):
     """Jitter-penalized effective delay: mean + s_u * k * std; floats
     (non-negative) or arrays (elementwise, unchecked)."""
     if not isinstance(mean_latency, np.ndarray):
-        mean_latency = _check_latency(mean_latency, "mean_latency")
-        std_latency = _check_latency(std_latency, "std_latency")
+        mean_latency = check_latency(mean_latency, "mean_latency")
+        std_latency = check_latency(std_latency, "std_latency")
     if k < 0.0:
         raise ValueError(f"k must be >= 0, got {k}")
     if not s_u > 0.0:
@@ -248,7 +252,7 @@ def latency_utility(
 def context_conversion(latency, ctx: ContextProfile, params: ModelParams):
     """Conversion with the context multiplier applied to latency sensitivity;
     float (non-negative) or array (elementwise, unchecked)."""
-    lat = latency if isinstance(latency, np.ndarray) else _check_latency(latency)
+    lat = latency if isinstance(latency, np.ndarray) else check_latency(latency)
     return sigmoid(params.alpha - params.beta * ctx.m_c * lat)
 
 
@@ -288,6 +292,8 @@ def fit_logistic_two_point(
     g2 = logit(p2)
     beta = (g1 - g2) / (l2 - l1)
     alpha = g1 + beta * l1
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError(f"points {point1} and {point2} are too close for a finite fit")
     return alpha, beta
 
 
@@ -309,7 +315,7 @@ def update_sensitivity(
     """
     if not (0.0 <= delta <= 0.5):
         raise ValueError(f"delta must be inside [0, 0.5], got {delta}")
-    lp = _check_latency(perceived_latency, "perceived_latency")
+    lp = check_latency(perceived_latency, "perceived_latency")
     if outcome == "completed":
         s_u = profile.s_u * (1.0 - delta) if lp > params.budget_b_l else profile.s_u
         counts = {"completed_count": profile.completed_count + 1}

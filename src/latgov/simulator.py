@@ -37,7 +37,7 @@ from .model import (
     perceived_latency,
     trust_score,
 )
-from .telemetry import ROLLING_BLOCK, WindowStats, nearest_rank, rolling_mean_std
+from .telemetry import ROLLING_BLOCK, WindowStats, nearest_rank, perceived_stream
 
 OUTCOME_MODEL = "survive-then-convert"
 
@@ -258,8 +258,8 @@ def simulate_session(
     """Reference semantics for one session of :func:`simulate_paths`.
 
     Draws exactly three variates in fixed order (patience exponential,
-    conversion uniform, repeat uniform) regardless of the outcome, so a
-    stream of sessions stays aligned with the array simulation.
+    conversion uniform, repeat uniform) regardless of the outcome. Fed each session's slots
+    of the :func:`draw_variates` lanes, not a real generator, it matches the array path.
     """
     patience = rng.standard_exponential()
     u_convert = rng.random()
@@ -277,7 +277,7 @@ def simulate_session(
         mode = decision.mode
 
     rate = cfg.mitigation.multipliers[mode.index] * abandonment_hazard(lp, cfg.params)
-    abandoned = patience / rate < latency
+    abandoned = rate > 0.0 and patience / rate < latency  # a zero hazard never abandons
 
     trust = trust_score(lp, cfg.params)
     converted = bool(
@@ -309,18 +309,12 @@ def simulate_paths(cfg: SimConfig) -> SessionTrace:
     rng = np.random.default_rng(cfg.seed)
     latency_z, patience, u_convert, u_repeat = draw_variates(rng, n)
     blocks = [slice(start, min(start + ROLLING_BLOCK, n)) for start in range(0, n, ROLLING_BLOCK)]
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are rejected below
+    with np.errstate(over="ignore"):  # checked below: no window holds the last latency
         latencies = cfg.rail.latency(latency_z)
-        del latency_z
-        perceived, std = rolling_mean_std(latencies, cfg.window_capacity, include_current=False)
-        for b in blocks:
-            perceived[b] = perceived_latency(perceived[b], std[b], params.k)
-    del std
-    if not (np.isfinite(latencies).all() and np.isfinite(perceived).all()):
-        raise ValueError(
-            "latencies or perceived latencies overflow a float; lower the rail's "
-            "mu_log, sigma_log or shift_s, or params.k"
-        )
+    del latency_z
+    if not np.isfinite(latencies).all():
+        raise ValueError("latencies overflow a float; lower the rail's mu_log, sigma_log or shift_s")
+    perceived = perceived_stream(latencies, cfg.window_capacity, include_current=False, k=params.k)
 
     mode = np.zeros(n, dtype=np.int8)
     trust = np.empty(n)

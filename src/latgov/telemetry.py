@@ -16,13 +16,16 @@ from typing import Deque, FrozenSet, Iterable, Iterator, Optional, Sequence, Tup
 
 import numpy as np
 
-UX_MODES = ("instant", "soft", "deferred")
+from .governor import Mode
+from .model import check_latency, perceived_latency
+
+UX_MODES = tuple(m.value for m in Mode)
 
 DEFAULT_WINDOW_CAPACITY = 256
 
 # Values per pass of array work (rolling_mean_std's outputs, rounded to
-# whole windows, and the simulator's sessions); passes keep the
-# temporaries small.
+# whole windows; perceived_stream's; the simulator's sessions); passes
+# keep the temporaries small.
 ROLLING_BLOCK = 4_096
 
 # Metric names used in SLO breach sets.
@@ -30,6 +33,14 @@ METRIC_P50 = "p50"
 METRIC_P90 = "p90"
 METRIC_P99 = "p99"
 METRIC_JITTER = "jitter_std"
+
+# Metric name -> (WindowStats field, SloConfig target field, SloConfig alert field or None).
+SLO_METRICS = {
+    METRIC_P50: ("p50_s", "p50_max_s", None),
+    METRIC_P90: ("p90_s", "p90_max_s", "p90_alert_s"),
+    METRIC_P99: ("p99_s", "p99_max_s", "p99_alert_s"),
+    METRIC_JITTER: ("std_s", "jitter_std_max_s", "jitter_alert_s"),
+}
 
 # Only sustained p90 / jitter violations drive automatic escalation.
 ESCALATION_METRICS = frozenset({METRIC_P90, METRIC_JITTER})
@@ -318,6 +329,19 @@ def rolling_mean_std(
     return mean, std
 
 
+def perceived_stream(latencies, window: int, include_current: bool, k: float) -> np.ndarray:
+    """:func:`model.perceived_latency` over the :func:`rolling_mean_std` window at
+    every index; raises ``ValueError`` where it overflows a float."""
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are rejected below
+        perceived, std = rolling_mean_std(latencies, window, include_current)
+        for start in range(0, perceived.shape[0], ROLLING_BLOCK):
+            b = slice(start, start + ROLLING_BLOCK)
+            perceived[b] = perceived_latency(perceived[b], std[b], k)
+    if not np.isfinite(perceived).all():
+        raise ValueError("perceived latency overflows a float; lower params.k or the latencies")
+    return perceived
+
+
 class LatencyWindow:
     """Bounded count-based window of confirmation latencies (seconds).
 
@@ -338,10 +362,7 @@ class LatencyWindow:
         return tuple(self._values)
 
     def push(self, latency_s: float) -> "LatencyWindow":
-        latency_s = float(latency_s)
-        if math.isnan(latency_s) or latency_s < 0.0:
-            raise ValueError(f"latency must be non-negative, got {latency_s}")
-        self._values.append(latency_s)
+        self._values.append(check_latency(latency_s))
         return self
 
     def stats(self) -> WindowStats:
@@ -372,13 +393,8 @@ class SloConfig:
         for f in fields(self):
             if not getattr(self, f.name) > 0.0:
                 raise ValueError(f"{f.name} must be > 0")
-        pairs = (
-            ("p90_max_s", "p90_alert_s"),
-            ("p99_max_s", "p99_alert_s"),
-            ("jitter_std_max_s", "jitter_alert_s"),
-        )
-        for target, alert in pairs:
-            if not getattr(self, target) < getattr(self, alert):
+        for _, target, alert in SLO_METRICS.values():
+            if alert is not None and not getattr(self, target) < getattr(self, alert):
                 raise ValueError(f"{target} must be below {alert}")
 
 
@@ -393,28 +409,20 @@ class SloStatus:
 
 def slo_evaluate(stats: WindowStats, cfg: SloConfig) -> FrozenSet[str]:
     """Names of metrics at or beyond their SLO targets; empty when compliant."""
-    breaches = set()
-    if stats.p50_s >= cfg.p50_max_s:
-        breaches.add(METRIC_P50)
-    if stats.p90_s >= cfg.p90_max_s:
-        breaches.add(METRIC_P90)
-    if stats.p99_s >= cfg.p99_max_s:
-        breaches.add(METRIC_P99)
-    if stats.std_s >= cfg.jitter_std_max_s:
-        breaches.add(METRIC_JITTER)
-    return frozenset(breaches)
+    return frozenset(
+        name
+        for name, (stat, target, _) in SLO_METRICS.items()
+        if getattr(stats, stat) >= getattr(cfg, target)
+    )
 
 
 def slo_alerts(stats: WindowStats, cfg: SloConfig) -> FrozenSet[str]:
     """Metrics strictly beyond the dashboard alert thresholds."""
-    alerts = set()
-    if stats.p90_s > cfg.p90_alert_s:
-        alerts.add(METRIC_P90)
-    if stats.p99_s > cfg.p99_alert_s:
-        alerts.add(METRIC_P99)
-    if stats.std_s > cfg.jitter_alert_s:
-        alerts.add(METRIC_JITTER)
-    return frozenset(alerts)
+    return frozenset(
+        name
+        for name, (stat, _, alert) in SLO_METRICS.items()
+        if alert is not None and getattr(stats, stat) > getattr(cfg, alert)
+    )
 
 
 def slo_track(status: SloStatus, breaches: FrozenSet[str]) -> SloStatus:

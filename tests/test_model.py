@@ -222,6 +222,7 @@ class TestArrayCurves:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert abandonment_hazard(np.array([1.0, 5000.0]), PARAMS)[1] == math.inf
+        assert abandonment_hazard(1.0, ModelParams(gamma=5000.0, lambda0=0.07)) == math.inf
 
 
 class TestLatencyBudget:
@@ -418,6 +419,8 @@ class TestTwoPointFit:
             fit_logistic_two_point((1.0, 0.0), (2.0, 0.5))
         with pytest.raises(ValueError):
             fit_logistic_two_point((1.0, 0.5), (2.0, 1.0))
+        with pytest.raises(ValueError, match="too close"):  # beta = inf, alpha = nan
+            fit_logistic_two_point((0.0, 0.1), (5e-324, 0.9))
 
     @given(
         l1=st.floats(min_value=0.0, max_value=6.0),

@@ -383,6 +383,19 @@ def test_letw_mode_carries_across_blocks():
     assert trace.mode[ROLLING_BLOCK - 1 :: ROLLING_BLOCK].any()
 
 
+def test_overflow_in_the_last_latency_is_rejected(monkeypatch):
+    """No window holds the last session's latency, so perceived latency cannot catch it."""
+
+    def lanes(rng, n):
+        latency_z = np.zeros(n)
+        latency_z[-1] = 1e4  # exp(0.52 * 1e4) overflows
+        return latency_z, np.ones(n), np.full(n, 0.5), np.full(n, 0.5)
+
+    monkeypatch.setattr("latgov.simulator.draw_variates", lanes)
+    with pytest.raises(ValueError, match="latencies overflow a float"):
+        simulate_paths(SimConfig(sessions=10))
+
+
 class TestQuantileModeReport:
     def test_default_rail_modes(self):
         rows = quantile_mode_report(SimConfig(sessions=10))

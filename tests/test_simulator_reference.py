@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latgov.governor import GovernorState
+from latgov.model import ModelParams
 from latgov.simulator import (
     Mitigation,
     PolicySpec,
@@ -66,6 +67,29 @@ def test_scan_matches_session_reference(kind):
         policy=PolicySpec(kind=kind),
         mitigation=Mitigation(rho_soft=0.6, rho_deferred=0.3),
         window_capacity=16,
+    )
+    assert_matches_session_reference(cfg)
+
+
+@pytest.mark.parametrize("kind", ["none", "static_messaging", "letw"])
+@pytest.mark.parametrize(
+    "extreme",
+    [
+        {"params": ModelParams(gamma=5000.0, lambda0=0.07)},
+        {"params": ModelParams(lambda0=5e-324)},
+        {"mitigation": Mitigation(rho_soft=5e-324, rho_deferred=5e-324)},
+    ],
+    ids=["gamma_5000", "lambda0_5e-324", "rho_5e-324"],
+)
+def test_infinite_and_zero_hazards_match_session_reference(kind, extreme):
+    """An overflowing hazard abandons at once and a zero hazard never does, on both paths."""
+    cfg = SimConfig(
+        sessions=400,
+        seed=202,
+        rail=RailDistribution.from_median(1.9, 0.7),
+        policy=PolicySpec(kind=kind),
+        window_capacity=16,
+        **extreme,
     )
     assert_matches_session_reference(cfg)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from latgov.model import perceived_latency
 from latgov.telemetry import (
     EMPTY_STATS,
     OPTIONAL_FIELDS,
     REQUIRED_FIELDS,
+    ROLLING_BLOCK,
     LatencyWindow,
     SloConfig,
     SloStatus,
@@ -25,6 +28,7 @@ from latgov.telemetry import (
     iter_events,
     nearest_rank,
     parse_event,
+    perceived_stream,
     rolling_mean_std,
     slo_alerts,
     slo_evaluate,
@@ -302,6 +306,22 @@ class TestRollingMeanStd:
             rolling_mean_std([1.0], 0, include_current=True)
 
 
+class TestPerceivedStream:
+    @pytest.mark.parametrize("include_current", [True, False])
+    @pytest.mark.parametrize("window", [1, 16, 256])
+    def test_is_rolling_mean_std_then_perceived_latency(self, window, include_current):
+        x = np.random.default_rng(window).lognormal(np.log(1.4), 0.6, size=3 * ROLLING_BLOCK + 17)
+        mean, std = rolling_mean_std(x, window, include_current)
+        want = perceived_latency(mean, std, 0.8)
+        assert np.array_equal(perceived_stream(x, window, include_current, 0.8), want)
+
+    def test_overflow_is_a_value_error_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows a float"):
+                perceived_stream([1.0, 1.0, 100.0, 1.0], 256, True, 1e308)
+
+
 class TestNearestRank:
     def test_exact_integer_ranks(self):
         values = list(range(1, 11))
@@ -356,6 +376,42 @@ class TestSloEvaluate:
         assert slo_evaluate(stats, SloConfig()) == frozenset(
             {"p50", "p90", "p99", "jitter_std"}
         )
+
+    # (metric, WindowStats field, default target, default alert or None)
+    BOUNDARIES = [
+        ("p50", "p50_s", 1.0, None),
+        ("p90", "p90_s", 2.0, 2.5),
+        ("p99", "p99_s", 4.0, 5.0),
+        ("jitter_std", "std_s", 0.7, 1.0),
+    ]
+
+    @staticmethod
+    def stats_with(field, value):
+        """Zero stats except ``field`` (and any higher quantile) at ``value``."""
+        quantiles = ("p50_s", "p90_s", "p99_s")
+        doc = dict(count=100, mean_s=0.0, std_s=0.0, p50_s=0.0, p90_s=0.0, p99_s=0.0)
+        if field in quantiles:
+            doc.update((q, value) for q in quantiles[quantiles.index(field) :])
+        else:
+            doc[field] = value
+        return WindowStats(**doc)
+
+    @pytest.mark.parametrize("metric, field, target, alert", BOUNDARIES)
+    def test_target_is_a_breach_and_below_is_not(self, metric, field, target, alert):
+        cfg = SloConfig()
+        assert slo_evaluate(self.stats_with(field, target), cfg) == frozenset({metric})
+        below = math.nextafter(target, 0.0)
+        assert slo_evaluate(self.stats_with(field, below), cfg) == frozenset()
+
+    @pytest.mark.parametrize("metric, field, target, alert", BOUNDARIES[1:])
+    def test_alert_threshold_is_not_an_alert_and_above_is(self, metric, field, target, alert):
+        cfg = SloConfig()
+        assert slo_alerts(self.stats_with(field, alert), cfg) == frozenset()
+        above = math.nextafter(alert, math.inf)
+        assert slo_alerts(self.stats_with(field, above), cfg) == frozenset({metric})
+
+    def test_p50_never_alerts(self):
+        assert slo_alerts(self.stats_with("p50_s", 100.0), SloConfig()) == frozenset({"p90", "p99"})
 
     def test_alerts_are_strict(self):
         cfg = SloConfig()
@@ -427,6 +483,16 @@ class TestConfigValidation:
             SloConfig(p90_max_s=2.5, p90_alert_s=2.5)
         with pytest.raises(ValueError):
             SloConfig(jitter_std_max_s=1.5)
+
+    @pytest.mark.parametrize(
+        "target, alert",
+        [("p90_max_s", "p90_alert_s"), ("p99_max_s", "p99_alert_s"),
+         ("jitter_std_max_s", "jitter_alert_s")],
+    )
+    def test_each_target_must_be_below_its_alert(self, target, alert):
+        for gap in (0.0, 0.5):  # target == alert, target > alert
+            with pytest.raises(ValueError, match=f"{target} must be below {alert}"):
+                SloConfig(**{target: 3.0 + gap, alert: 3.0})
 
     def test_positive_required(self):
         with pytest.raises(ValueError):
