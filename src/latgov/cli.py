@@ -16,6 +16,8 @@ import sys
 from dataclasses import asdict, fields
 from typing import List, Optional, TextIO
 
+import numpy as np
+
 from .governor import MODE_ORDER, modes, reason_for
 from .model import ModelParams, calibrate_lambda0, fit_logistic_two_point, trust_score
 from .simulator import (
@@ -222,14 +224,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print("error: no telemetry events to replay", file=sys.stderr)
         return EXIT_RUNTIME
 
-    perceived = perceived_stream(latencies, args.window, include_current=True, k=params.k).tolist()
+    perceived = perceived_stream(latencies, args.window, include_current=True, k=params.k)
     codes, transitions = modes(perceived, params)
     if args.out:
         sink = open(args.out, "w", encoding="utf-8")
     else:
         sink = contextlib.nullcontext(sys.stdout)
     with sink as out:
-        for session_id, lp, code in zip(session_ids, perceived, codes):
+        for session_id, lp, code in zip(session_ids, perceived.tolist(), codes.tolist()):
             mode = MODE_ORDER[code]
             record = {
                 "session_id": session_id,
@@ -243,8 +245,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
             )
 
     total = len(perceived)
+    counts = np.bincount(codes, minlength=len(MODE_ORDER)).tolist()
     shares = " ".join(
-        f"{m.value}={codes.count(i) / total * 100:.1f}%" for i, m in enumerate(MODE_ORDER)
+        f"{m.value}={counts[i] / total * 100:.1f}%" for i, m in enumerate(MODE_ORDER)
     )
     summary = f"events={total} transitions={transitions} modes: {shares}"
     print(summary, file=sys.stdout if args.out else sys.stderr)

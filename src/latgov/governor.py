@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .model import ModelParams, check_latency, perceived_latency, trust_score
 
 if TYPE_CHECKING:  # telemetry imports Mode from here
@@ -138,17 +140,44 @@ def reason_for(mode: Mode, lp: float, params: ModelParams) -> Reason:
 
 def modes(
     perceived: Sequence[float], params: ModelParams, start: Mode = Mode.INSTANT
-) -> Tuple[List[int], int]:
+) -> Tuple[np.ndarray, int]:
     """Run :func:`next_mode` over perceived latencies from ``start``, unchecked: the
-    :data:`MODE_ORDER` index after each value, and the number of mode changes."""
-    mode, code, transitions = start, start.index, 0
-    codes = []
-    for lp in perceived:
-        new_mode = next_mode(mode, lp, params)
-        if new_mode is not mode:
-            mode, code = new_mode, new_mode.index
-            transitions += 1
-        codes.append(code)
+    :data:`MODE_ORDER` index after each value (int8), and the number of mode changes.
+
+    :func:`next_mode` sees a value only through four strict comparisons, so values
+    are packed into a 4-bit threshold pattern and the governor walks runs of one
+    pattern. ``0 < h < budget_b_l < budget_soft`` leaves the rule no cycle, so within
+    a run the mode settles after at most two hops: the first value takes one, every
+    later value the second. Each pattern's hops come from :func:`next_mode` on the
+    first value seen with it (at most 16 x 3 calls), so the cost grows with the
+    number of runs, not of values.
+    """
+    lp = np.asarray(perceived, dtype=np.float64)
+    n = len(lp)
+    if n == 0:
+        return np.zeros(0, dtype=np.int8), 0
+    pattern = (lp > params.budget_b_l).view(np.int8)
+    pattern |= (lp > params.budget_soft).view(np.int8) << 1
+    pattern |= (lp < params.budget_b_l - params.hysteresis_h).view(np.int8) << 2
+    pattern |= (lp < params.budget_soft - params.hysteresis_h).view(np.int8) << 3
+    starts = np.flatnonzero(np.concatenate(([True], pattern[1:] != pattern[:-1])))
+    lengths = np.diff(starts, append=n)
+
+    hops: List[Optional[List[int]]] = [None] * 16  # pattern -> next code per code
+    code = start.index
+    firsts, lasts = [], []
+    for i, p, length in zip(starts.tolist(), pattern[starts].tolist(), lengths.tolist()):
+        hop = hops[p]
+        if hop is None:
+            value = float(lp[i])
+            hop = hops[p] = [next_mode(m, value, params).index for m in MODE_ORDER]
+        first = hop[code]
+        code = hop[first] if length > 1 else first
+        firsts.append(first)
+        lasts.append(code)
+    codes = np.repeat(np.array(lasts, dtype=np.int8), lengths)
+    codes[starts] = firsts
+    transitions = int(np.count_nonzero(codes[1:] != codes[:-1])) + (int(codes[0]) != start.index)
     return codes, transitions
 
 

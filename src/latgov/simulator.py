@@ -5,7 +5,10 @@ rail; each session then races an exponential patience clock against its
 latency, converts with the jitter-penalized logistic probability, and may
 produce a repeat engagement. This module owns configuration, variate
 layout, the array simulation, aggregation and the experiment drivers
-(burst and policy comparison).
+(burst and policy comparison). Policies simulated together (``--policy all``,
+:func:`run_burst`) share one pass: one draw, one window pass, and one
+computation of trust, hazard and conversion probability; each policy adds
+only its modes, its hazard multipliers and its outcome comparisons.
 
 Determinism: a run is a pure function of ``(config, seed)``. All random
 variates are drawn up front from one seeded generator in four fixed lanes
@@ -209,7 +212,11 @@ class SimResult:
 
 @dataclass
 class SessionTrace:
-    """Per-session arrays produced by one scan (for inspection and tests)."""
+    """Per-session arrays of one policy (for inspection and tests).
+
+    Traces of policies simulated in one pass share their ``latency_s``,
+    ``perceived_s`` and ``trust`` arrays: these do not depend on the policy.
+    """
 
     latency_s: np.ndarray
     perceived_s: np.ndarray
@@ -296,19 +303,19 @@ def simulate_session(
     return outcome, next_gov
 
 
-def simulate_paths(cfg: SimConfig) -> SessionTrace:
-    """Simulate every session and return per-session arrays.
+def _simulate_policies(cfg: SimConfig, kinds: Tuple[str, ...]) -> Dict[str, SessionTrace]:
+    """Simulate every session under each policy in ``kinds`` from one shared pass.
 
-    Window statistics, trust, hazard and conversion are array arithmetic
-    over blocks of sessions; the ``letw`` governor, whose mode depends on
-    the previous one, runs :func:`governor.modes` over each block and
-    passes its last mode on to the next.
+    The variate lanes, latencies, perceived latency, trust, hazard and conversion
+    probability do not depend on the policy, so they are computed once. Each policy
+    adds only its mode array (for ``letw``, :func:`governor.modes` over the whole
+    stream), the hazard multiplier and the outcome comparisons, done in blocks of
+    :data:`telemetry.ROLLING_BLOCK` sessions.
     """
     n = cfg.sessions
     params = cfg.params
     rng = np.random.default_rng(cfg.seed)
     latency_z, patience, u_convert, u_repeat = draw_variates(rng, n)
-    blocks = [slice(start, min(start + ROLLING_BLOCK, n)) for start in range(0, n, ROLLING_BLOCK)]
     with np.errstate(over="ignore"):  # checked below: no window holds the last latency
         latencies = cfg.rail.latency(latency_z)
     del latency_z
@@ -316,39 +323,40 @@ def simulate_paths(cfg: SimConfig) -> SessionTrace:
         raise ValueError("latencies overflow a float; lower the rail's mu_log, sigma_log or shift_s")
     perceived = perceived_stream(latencies, cfg.window_capacity, include_current=False, k=params.k)
 
-    mode = np.zeros(n, dtype=np.int8)
+    mode, transitions = {}, dict.fromkeys(kinds, 0)
+    for kind in kinds:
+        if kind == "letw":
+            mode[kind], transitions[kind] = modes(perceived, params)
+        elif kind == "static_messaging":
+            mode[kind] = (latencies > cfg.policy.static_threshold_s).astype(np.int8)
+        else:
+            mode[kind] = np.zeros(n, dtype=np.int8)
     trust = np.empty(n)
-    abandoned = np.empty(n, dtype=np.bool_)
-    converted = np.empty(n, dtype=np.bool_)
-    repeated = np.empty(n, dtype=np.bool_)
+    outcomes = {kind: [np.empty(n, dtype=np.bool_) for _ in range(3)] for kind in kinds}
     multipliers = np.array(cfg.mitigation.multipliers)
-    gov_mode, transitions = Mode.INSTANT, 0
-    for b in blocks:
+    for start in range(0, n, ROLLING_BLOCK):
+        b = slice(start, start + ROLLING_BLOCK)
         lp = perceived[b]
-        if cfg.policy.kind == "static_messaging":
-            mode[b] = latencies[b] > cfg.policy.static_threshold_s
-        elif cfg.policy.kind == "letw":
-            codes, changes = modes(lp.tolist(), params, gov_mode)
-            mode[b] = codes
-            gov_mode = MODE_ORDER[codes[-1]]
-            transitions += changes
         trust[b] = trust_score(lp, params)
-        rate = multipliers[mode[b]] * abandonment_hazard(lp, params)
-        with np.errstate(divide="ignore", over="ignore"):  # a zero hazard never abandons
-            abandoned[b] = patience[b] / rate < latencies[b]
-        p_convert = context_conversion(lp, cfg.ctx, params)
-        converted[b] = ~abandoned[b] & (u_convert[b] < p_convert)
-        repeated[b] = converted[b] & (u_repeat[b] < cfg.engagement_ceiling * trust[b])
-    return SessionTrace(
-        latency_s=latencies,
-        perceived_s=perceived,
-        trust=trust,
-        mode=mode,
-        abandoned=abandoned,
-        converted=converted,
-        repeated=repeated,
-        governor_transitions=transitions,
-    )
+        hazard = abandonment_hazard(lp, params)
+        convertible = u_convert[b] < context_conversion(lp, cfg.ctx, params)
+        engages = u_repeat[b] < cfg.engagement_ceiling * trust[b]
+        for kind in kinds:
+            abandoned, converted, repeated = outcomes[kind]
+            rate = multipliers[mode[kind][b]] * hazard
+            with np.errstate(divide="ignore", over="ignore"):  # a zero hazard never abandons
+                abandoned[b] = patience[b] / rate < latencies[b]
+            converted[b] = ~abandoned[b] & convertible
+            repeated[b] = converted[b] & engages
+    return {
+        kind: SessionTrace(latencies, perceived, trust, mode[kind], *outcomes[kind], transitions[kind])
+        for kind in kinds
+    }
+
+
+def simulate_paths(cfg: SimConfig) -> SessionTrace:
+    """Simulate every session under ``cfg.policy`` and return per-session arrays."""
+    return _simulate_policies(cfg, (cfg.policy.kind,))[cfg.policy.kind]
 
 
 def summarize_trace(trace: SessionTrace) -> SimResult:
@@ -375,18 +383,14 @@ def run_simulation(cfg: SimConfig) -> SimResult:
 
 def run_burst(base: SimConfig, burst_rail: RailDistribution) -> Tuple[SimResult, SimResult]:
     """Run the congested regime ungoverned and governed under the same seed."""
-    burst = replace(base, rail=burst_rail)
-    ungoverned = run_simulation(replace(burst, policy=replace(burst.policy, kind="none")))
-    governed = run_simulation(replace(burst, policy=replace(burst.policy, kind="letw")))
-    return ungoverned, governed
+    traces = _simulate_policies(replace(base, rail=burst_rail), ("none", "letw"))
+    return summarize_trace(traces["none"]), summarize_trace(traces["letw"])
 
 
 def compare_policies(cfg: SimConfig) -> Dict[str, SimResult]:
     """Run all three policies under the same seed; keyed by policy kind."""
-    return {
-        kind: run_simulation(replace(cfg, policy=replace(cfg.policy, kind=kind)))
-        for kind in POLICY_KINDS
-    }
+    traces = _simulate_policies(cfg, POLICY_KINDS)
+    return {kind: summarize_trace(trace) for kind, trace in traces.items()}
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """Governor tests: mode selection, hysteresis machine, escalation, rollout guard."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from latgov.governor import (
     apply_slo_escalation,
     decide_simple,
     modes,
+    next_mode,
     rollout_guard,
     select_mode_by_trust,
     step,
@@ -172,17 +176,94 @@ class TestStep:
         assert state.mode is decide_simple(lp, 0.0, PARAMS)
 
 
-def step_fold(lps, start=Mode.INSTANT):
+def step_fold(lps, start=Mode.INSTANT, params=PARAMS):
     """(mode codes, transitions) of :func:`step` run over ``lps`` from ``start``."""
-    state, codes = run_sequence(lps, GovernorState(mode=start))
+    state, codes = run_sequence(lps, GovernorState(mode=start), params)
     return [m.index for m in codes], state.transitions
 
 
+@st.composite
+def tight_thresholds(draw):
+    """Params with the thresholds as close as ``ModelParams`` allows, and a stream on or
+    1 ulp off them that flips one threshold comparison on every value (then each value
+    repeated 1-3 times)."""
+    budget = draw(st.floats(min_value=1e-323, max_value=1e3))
+    below_budget = math.nextafter(budget, 0.0)
+    h = draw(st.sampled_from([5e-324, below_budget]) | st.floats(5e-324, below_budget))
+    above_budget = math.nextafter(budget, math.inf)
+    soft = draw(st.just(above_budget) | st.floats(above_budget, 4.0 * budget))
+    params = ModelParams(budget_b_l=budget, budget_soft=soft, hysteresis_h=h)
+    greater = (budget, soft)        # the rule asks lp > t
+    less = (budget - h, soft - h)   # the rule asks lp < t
+    lp = draw(st.sampled_from(greater + less))
+    stream = []
+    for which, on in draw(st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=60)):
+        if which < 2:
+            t = greater[which]
+            if lp > t:
+                lp = t if on else math.nextafter(t, -math.inf)
+            else:
+                lp = math.nextafter(t, math.inf)
+        else:
+            t = less[which - 2]
+            if lp < t:
+                lp = t if on else math.nextafter(t, math.inf)
+            else:
+                lp = math.nextafter(t, -math.inf)
+        stream.append(lp)
+    repeat = draw(st.integers(1, 3))
+    return params, [value for value in stream for _ in range(repeat)]
+
+
 class TestModes:
+    @pytest.mark.parametrize(
+        "lps, codes, transitions",
+        [
+            ([3.5], [1], 1),
+            ([3.5, 3.5, 3.5], [1, 2, 2], 2),
+            ([1.0, 3.5, 3.5, 1.0], [0, 1, 2, 1], 3),
+            ([], [], 0),
+        ],
+    )
+    def test_hand_written(self, lps, codes, transitions):
+        got, changes = modes(lps, PARAMS)
+        assert got.dtype == np.int8
+        assert (got.tolist(), changes) == (codes, transitions)
+
+    def test_array_and_list_agree(self):
+        lps = np.random.default_rng(4).uniform(0.0, 4.0, 500)
+        codes, transitions = modes(lps, PARAMS, Mode.SOFT)
+        from_list, from_list_transitions = modes(lps.tolist(), PARAMS, Mode.SOFT)
+        assert np.array_equal(codes, from_list)
+        assert transitions == from_list_transitions
+
+    @given(case=tight_thresholds(), start=st.sampled_from(MODE_ORDER))
+    @settings(derandomize=True, max_examples=300)
+    def test_matches_step_fold_on_tight_thresholds(self, case, start):
+        params, lps = case
+        codes, transitions = modes(lps, params, start)
+        assert (codes.tolist(), transitions) == step_fold(lps, start, params)
+
+    def test_next_mode_calls_bounded_by_patterns(self, monkeypatch):
+        # Each of the 16 threshold patterns asks next_mode once per mode, however
+        # long the stream: a loop over every value would make 200k calls.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return next_mode(*args)
+
+        monkeypatch.setattr("latgov.governor.next_mode", counting)
+        lps = np.random.default_rng(9).choice([0.0, *THRESHOLDS, 2.5, 3.5], size=200_000)
+        codes, _ = modes(lps, PARAMS)
+        assert codes.shape == (200_000,)
+        assert 0 < len(calls) <= 48
+
     @given(lps=lp_streams, start=st.sampled_from(MODE_ORDER))
     @settings(derandomize=True, max_examples=300)
     def test_matches_step_fold(self, lps, start):
-        assert modes(lps, PARAMS, start) == step_fold(lps, start)
+        codes, transitions = modes(lps, PARAMS, start)
+        assert (codes.tolist(), transitions) == step_fold(lps, start)
 
     @given(lps=lp_streams, start=st.sampled_from(MODE_ORDER), data=st.data())
     @settings(derandomize=True, max_examples=200)
@@ -191,6 +272,7 @@ class TestModes:
         mode, codes, transitions = start, [], 0
         for lo, hi in zip([0, *cuts], [*cuts, len(lps)]):
             piece, changes = modes(lps[lo:hi], PARAMS, mode)
+            piece = piece.tolist()
             if piece:
                 mode = MODE_ORDER[piece[-1]]
             codes += piece

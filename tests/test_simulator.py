@@ -2,14 +2,17 @@
 monotonicity, direction checks, and the analytic closed-form cross-check."""
 
 import math
+from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from latgov.governor import GovernorState, Mode, step
+from latgov import simulator
 from latgov.model import ContextProfile, ModelParams, sigmoid
 from latgov.simulator import (
+    POLICY_KINDS,
     Mitigation,
     PolicySpec,
     RailDistribution,
@@ -394,6 +397,57 @@ def test_overflow_in_the_last_latency_is_rejected(monkeypatch):
     monkeypatch.setattr("latgov.simulator.draw_variates", lanes)
     with pytest.raises(ValueError, match="latencies overflow a float"):
         simulate_paths(SimConfig(sessions=10))
+
+
+NEAR_BUDGET_RAIL = RailDistribution.from_median(1.17, 0.5207)
+
+
+def with_policy(cfg, kind):
+    return replace(cfg, policy=replace(cfg.policy, kind=kind))
+
+
+@pytest.mark.parametrize("window", [1, 256])
+def test_compare_policies_equals_one_run_per_policy(window):
+    cfg = SimConfig(
+        sessions=2 * ROLLING_BLOCK + 101, seed=17, rail=NEAR_BUDGET_RAIL, window_capacity=window
+    )
+    results = compare_policies(cfg)
+    assert list(results) == list(POLICY_KINDS)
+    for kind, result in results.items():
+        assert result == run_simulation(with_policy(cfg, kind)), kind
+    assert results["letw"] != results["none"] != results["static_messaging"]
+
+
+@pytest.mark.parametrize("window", [1, 256])
+def test_run_burst_equals_one_run_per_policy(window):
+    base = SimConfig(sessions=2 * ROLLING_BLOCK + 101, seed=23, window_capacity=window)
+    ungoverned, governed = run_burst(base, NEAR_BUDGET_RAIL)
+    burst = replace(base, rail=NEAR_BUDGET_RAIL)
+    assert ungoverned == run_simulation(with_policy(burst, "none"))
+    assert governed == run_simulation(with_policy(burst, "letw"))
+    assert governed != ungoverned
+
+
+def test_policies_share_one_draw_and_one_window_pass(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(simulator, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("draw_variates", "perceived_stream"):
+        monkeypatch.setattr(simulator, name, counted(name))
+    cfg = SimConfig(sessions=ROLLING_BLOCK + 7, seed=5, rail=NEAR_BUDGET_RAIL)
+    compare_policies(cfg)
+    assert calls == {"draw_variates": 1, "perceived_stream": 1}
+    calls.clear()
+    run_burst(cfg, BURST_RAIL)
+    assert calls == {"draw_variates": 1, "perceived_stream": 1}
 
 
 class TestQuantileModeReport:
