@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, fields
-from typing import List, Optional, TextIO
+from typing import Iterator, List, Optional, TextIO
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .telemetry import (
     SloConfig,
     SloStatus,
     TelemetryError,
+    TelemetryEvent,
     confirmation_latency,
     iter_events,
     perceived_stream,
@@ -49,7 +50,6 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 EXIT_SLO_ESCALATED = 3
 
-DEFAULT_SEED = 42
 DEFAULT_SESSIONS = 10_000
 
 _MODEL_FIELD_NAMES = tuple(f.name for f in fields(ModelParams))
@@ -103,18 +103,12 @@ def _load_config(path: Optional[str]) -> dict:
     return doc
 
 
-def _params_from_config(doc: dict) -> ModelParams:
+def _section(doc: dict, cls, key: str, what: str):
+    """The ``key`` section of a config document as a ``cls``; defaults when absent."""
     try:
-        return _from_doc(ModelParams, doc.get("params", {}), "params")
+        return _from_doc(cls, doc.get(key, {}), key)
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad model params: {exc}") from exc
-
-
-def _slo_config(doc: dict) -> SloConfig:
-    try:
-        return _from_doc(SloConfig, doc.get("slo", {}), "slo")
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad SLO config: {exc}") from exc
+        raise UsageError(f"bad {what}: {exc}") from exc
 
 
 def _write_out(path: Optional[str], doc: dict) -> None:
@@ -126,11 +120,23 @@ def _write_out(path: Optional[str], doc: dict) -> None:
 
 
 def _read_lines(path: str) -> TextIO:
-    """Open telemetry for streaming, line by line; use it in a ``with`` block."""
+    """Open telemetry for streaming, line by line; use it in a ``with`` block.
+    Bytes that are not UTF-8 become surrogates, which ``parse_event`` rejects per line."""
     try:
-        return open(path, "r", encoding="utf-8")
+        return open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise UsageError(f"cannot read telemetry {path}: {exc}") from exc
+
+
+def _events(args: argparse.Namespace) -> Iterator[TelemetryEvent]:
+    """Stream the ``--telemetry`` events; ``ValueError`` (exit 1) when there are none."""
+    with _read_lines(args.telemetry) as lines:
+        events = iter_events(lines, skip_bad=args.skip_bad)
+        first = next(events, None)
+        if first is None:
+            raise ValueError("no telemetry events")
+        yield first
+        yield from events
 
 
 def _format_table(headers, rows) -> str:
@@ -151,7 +157,6 @@ def _format_table(headers, rows) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     doc = _load_config(args.config)
     doc.setdefault("sessions", DEFAULT_SESSIONS)
-    doc.setdefault("seed", DEFAULT_SEED)
     if args.sessions is not None:
         doc["sessions"] = args.sessions
     if args.seed is not None:
@@ -212,17 +217,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.window < 1:
         raise UsageError("--window must be >= 1")
     doc = _load_config(args.config)
-    params = _params_from_config(doc)
+    params = _section(doc, ModelParams, "params", "model params")
 
     session_ids = []
     latencies = []
-    with _read_lines(args.telemetry) as lines:
-        for event in iter_events(lines, skip_bad=args.skip_bad):
-            session_ids.append(event.session_id)
-            latencies.append(confirmation_latency(event))
-    if not latencies:
-        print("error: no telemetry events to replay", file=sys.stderr)
-        return EXIT_RUNTIME
+    for event in _events(args):
+        session_ids.append(event.session_id)
+        latencies.append(confirmation_latency(event))
 
     perceived = perceived_stream(latencies, args.window, include_current=True, k=params.k)
     codes, transitions = modes(perceived, params)
@@ -258,20 +259,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     if bool(args.telemetry) == bool(args.sim):
         raise UsageError("exactly one of --telemetry or --sim is required")
     doc = _load_config(args.config)
-    params = _params_from_config(doc)
-    slo_cfg = _slo_config(doc)
+    params = _section(doc, ModelParams, "params", "model params")
+    slo_cfg = _section(doc, SloConfig, "slo", "SLO config")
 
     behavior_lines = []
     if args.telemetry:
         latencies = []
         engaged = 0
-        with _read_lines(args.telemetry) as lines:
-            for event in iter_events(lines, skip_bad=args.skip_bad):
-                latencies.append(confirmation_latency(event))
-                engaged += event.engaged_60s
-        if not latencies:
-            print("error: empty telemetry input", file=sys.stderr)
-            return EXIT_RUNTIME
+        for event in _events(args):
+            latencies.append(confirmation_latency(event))
+            engaged += event.engaged_60s
         stats = window_stats(latencies)
         quantiles = {"p50": stats.p50_s, "p90": stats.p90_s, "p99": stats.p99_s}
         repeat_rate = engaged / len(latencies)
@@ -314,14 +311,8 @@ def cmd_slo(args: argparse.Namespace) -> int:
     if args.window < 1:
         raise UsageError("--window must be >= 1")
     doc = _load_config(args.config)
-    slo_cfg = _slo_config(doc)
-    with _read_lines(args.telemetry) as lines:
-        latencies = [
-            confirmation_latency(e) for e in iter_events(lines, skip_bad=args.skip_bad)
-        ]
-    if not latencies:
-        print("error: no telemetry events", file=sys.stderr)
-        return EXIT_RUNTIME
+    slo_cfg = _section(doc, SloConfig, "slo", "SLO config")
+    latencies = [confirmation_latency(e) for e in _events(args)]
 
     status = SloStatus()
     windows = []
@@ -427,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p_sim = sub.add_parser("simulate", parents=[common], help="run the session simulator")
-    p_sim.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
+    p_sim.add_argument("--seed", type=int, help=f"RNG seed (default {SimConfig.seed})")
     p_sim.add_argument("--sessions", type=int, help=f"session count (default {DEFAULT_SESSIONS})")
     p_sim.add_argument(
         "--policy",

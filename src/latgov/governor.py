@@ -95,19 +95,16 @@ def select_mode_by_trust(trust: float, params: ModelParams) -> Mode:
     return Mode.DEFERRED
 
 
-def _stateless_mode(perceived: float, params: ModelParams) -> Mode:
-    if perceived <= params.budget_b_l:
-        return Mode.INSTANT
-    if perceived <= params.budget_soft:
-        return Mode.SOFT
-    return Mode.DEFERRED
-
-
 def decide_simple(
     mean_latency: float, std_latency: float, params: ModelParams
 ) -> Mode:
     """Stateless budget rule on perceived latency mean + k * std."""
-    return _stateless_mode(perceived_latency(mean_latency, std_latency, params.k), params)
+    lp = perceived_latency(mean_latency, std_latency, params.k)
+    if lp <= params.budget_b_l:
+        return Mode.INSTANT
+    if lp <= params.budget_soft:
+        return Mode.SOFT
+    return Mode.DEFERRED
 
 
 def next_mode(mode: Mode, perceived_latency: float, params: ModelParams) -> Mode:

@@ -40,7 +40,9 @@ from .model import (
     perceived_latency,
     trust_score,
 )
-from .telemetry import ROLLING_BLOCK, WindowStats, nearest_rank, perceived_stream
+from .telemetry import (
+    DEFAULT_WINDOW_CAPACITY, ROLLING_BLOCK, WindowStats, nearest_rank, perceived_stream
+)
 
 OUTCOME_MODEL = "survive-then-convert"
 
@@ -154,7 +156,7 @@ class SimConfig:
     ctx: ContextProfile = field(default_factory=ContextProfile)
     mitigation: Mitigation = field(default_factory=Mitigation)
     engagement_ceiling: float = 0.12
-    window_capacity: int = 256
+    window_capacity: int = DEFAULT_WINDOW_CAPACITY
 
     def __post_init__(self) -> None:
         if self.sessions <= 0:

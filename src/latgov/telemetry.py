@@ -11,8 +11,8 @@ import json
 import math
 import sys
 from collections import deque
-from dataclasses import MISSING, asdict, dataclass, fields
-from typing import Deque, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Deque, FrozenSet, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,16 +58,15 @@ class TelemetryError(ValueError):
 
 
 class TelemetryParseError(TelemetryError):
-    """The line is not valid JSON."""
+    """The line is not valid UTF-8 or not valid JSON."""
 
 
 class TelemetrySchemaError(TelemetryError):
     """The JSON object violates the event schema."""
 
 
-@dataclass(frozen=True)
-class TelemetryEvent:
-    """One payment intent -> confirmation record with media stats."""
+class TelemetryEvent(NamedTuple):
+    """One payment intent -> confirmation record with media stats (immutable)."""
 
     session_id: str
     intent_ts: int          # ms since epoch
@@ -80,11 +79,11 @@ class TelemetryEvent:
     device: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return {k: v for k, v in self._asdict().items() if v is not None}
 
 
-REQUIRED_FIELDS = tuple(f.name for f in fields(TelemetryEvent) if f.default is MISSING)
-OPTIONAL_FIELDS = tuple(f.name for f in fields(TelemetryEvent) if f.default is not MISSING)
+OPTIONAL_FIELDS = tuple(TelemetryEvent._field_defaults)
+REQUIRED_FIELDS = tuple(f for f in TelemetryEvent._fields if f not in OPTIONAL_FIELDS)
 
 
 def _require_int(doc: dict, field: str, line: Optional[int]) -> int:
@@ -161,6 +160,11 @@ _DECODER = json.JSONDecoder(parse_constant=reject_non_finite)
 
 def parse_event(line: str, lineno: Optional[int] = None) -> TelemetryEvent:
     """Parse one JSONL telemetry line; unknown fields are ignored."""
+    if not line.isascii():  # undecodable bytes arrive as lone surrogates (surrogateescape)
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise TelemetryParseError("line is not valid UTF-8", lineno) from exc
     try:
         doc = _DECODER.decode(line)
     except json.JSONDecodeError as exc:

@@ -19,7 +19,7 @@ from latgov.cli import main
 from latgov.governor import GovernorState, Reason, step
 from latgov.model import ContextProfile, ModelParams
 from latgov.simulator import Mitigation, PolicySpec, RailDistribution, SimConfig, SimResult
-from latgov.telemetry import SloConfig, TelemetryEvent, reject_non_finite
+from latgov.telemetry import OPTIONAL_FIELDS, REQUIRED_FIELDS, SloConfig, reject_non_finite
 
 
 def make_event(session_id, latency_s, engaged=False, base_ts=0):
@@ -217,11 +217,6 @@ class TestReplay:
         assert main(["replay", "--telemetry", str(telemetry), "--skip-bad", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 2
 
-    def test_empty_input_is_runtime_error(self, tmp_path):
-        telemetry = tmp_path / "empty.jsonl"
-        telemetry.write_text("")
-        assert main(["replay", "--telemetry", str(telemetry)]) == 1
-
     def test_non_finite_number_rejected(self, tmp_path, capsys):
         telemetry = tmp_path / "inf.jsonl"
         bad = make_event("a", 1.0).replace('"media_rtt_ms": 80', '"media_rtt_ms": Infinity')
@@ -277,11 +272,6 @@ class TestReport:
         rows = json.loads(out.read_text())["rows"]
         assert all(r["latency_s"] == pytest.approx(1.7) for r in rows)
 
-    def test_empty_input_exits_one(self, tmp_path):
-        telemetry = tmp_path / "empty.jsonl"
-        telemetry.write_text("\n")
-        assert main(["report", "--telemetry", str(telemetry)]) == 1
-
     def test_sim_input(self, tmp_path, capsys):
         sim_out = tmp_path / "sim.json"
         assert main(["simulate", "--sessions", "2000", "--out", str(sim_out)]) == 0
@@ -325,11 +315,6 @@ class TestSlo:
         telemetry = tmp_path / "mixed.jsonl"
         write_telemetry(telemetry, breach_window() * 2 + [0.8] * 20)
         assert main(["slo", "--telemetry", str(telemetry), "--window", "20"]) == 0
-
-    def test_empty_stream(self, tmp_path):
-        telemetry = tmp_path / "empty.jsonl"
-        telemetry.write_text("")
-        assert main(["slo", "--telemetry", str(telemetry)]) == 1
 
     def test_malformed_line(self, tmp_path, capsys):
         telemetry = tmp_path / "bad.jsonl"
@@ -514,6 +499,55 @@ class TestBadInputEndsCleanly:
         assert [json.loads(line)["session_id"] for line in out.read_text().splitlines()] == ["s0"]
 
 
+TELEMETRY_COMMANDS = ("replay", "report", "slo")
+
+
+class TestTelemetryInput:
+    """The telemetry reader replay, report and slo share."""
+
+    @pytest.mark.parametrize(
+        "text,flags", [("", []), ("{broken\n\n[1]\n", ["--skip-bad"])], ids=["empty", "all_bad"]
+    )
+    @pytest.mark.parametrize("command", TELEMETRY_COMMANDS)
+    def test_no_events_is_one_error_line(self, tmp_path, command, text, flags):
+        telemetry = tmp_path / "t.jsonl"
+        telemetry.write_text(text)
+        out = tmp_path / "out.json"
+        code, stdout, stderr, _ = run_quietly(
+            [command, "--telemetry", str(telemetry), *flags, "--out", str(out)]
+        )
+        assert code == 1
+        assert stderr == "error: no telemetry events\n"
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", TELEMETRY_COMMANDS)
+    def test_non_utf8_line_is_a_line_error(self, tmp_path, command):
+        # Past the first 8 KiB, so a whole-chunk decode error would not name the line.
+        good = [make_event(f"s{i}", 1.0 + i % 7 / 10) for i in range(120)]
+        clean = tmp_path / "clean.jsonl"
+        clean.write_text("\n".join(good) + "\n")
+        dirty = tmp_path / "dirty.jsonl"
+        dirty.write_bytes(
+            ("\n".join(good[:100]) + "\n").encode()
+            + b'{"session_id":"\xff\xfe"}\n'
+            + ("\n".join(good[100:]) + "\n").encode()
+        )
+        code, stdout, stderr, _ = run_quietly([command, "--telemetry", str(dirty)])
+        assert code == 2
+        assert stderr == "error: line 101: line is not valid UTF-8\n"
+        assert stdout == ""
+
+        clean_out, dirty_out = tmp_path / "clean.out", tmp_path / "dirty.out"
+        expected = run_quietly([command, "--telemetry", str(clean), "--out", str(clean_out)])
+        got = run_quietly(
+            [command, "--telemetry", str(dirty), "--skip-bad", "--out", str(dirty_out)]
+        )
+        assert expected[0] == 0
+        assert got[:3] == expected[:3]
+        assert dirty_out.read_bytes() == clean_out.read_bytes()
+
+
 # Accepted configs whose arithmetic overflows to +-inf or divides by zero
 # where that limit is the right answer.
 EXTREME_CONFIGS = {
@@ -562,7 +596,7 @@ telemetry_docs = st.fixed_dictionaries(
     {}, optional={"params": wild_section(ModelParams), "slo": wild_section(SloConfig)}
 )
 wild_events = st.lists(
-    st.dictionaries(st.sampled_from([f.name for f in fields(TelemetryEvent)]), WILD,
+    st.dictionaries(st.sampled_from(REQUIRED_FIELDS + OPTIONAL_FIELDS), WILD,
                     min_size=1, max_size=2).map(lambda bad: {**GOOD_EVENT, **bad}),
     max_size=3,
 )

@@ -146,6 +146,19 @@ class TestParsing:
         assert parse_event(event_to_json(event2)) == event2
         assert event2.region == "eu-west"
 
+    def test_non_utf8_line_is_a_parse_error(self):
+        line = b'{"session_id":"\xff\xfe"}'.decode("utf-8", errors="surrogateescape")
+        with pytest.raises(TelemetryParseError, match="^line 3: line is not valid UTF-8$"):
+            parse_event(line, lineno=3)
+        doc = json.loads(GOOD_LINE)
+        doc["session_id"] = "caf\u00e9"
+        assert parse_event(json.dumps(doc, ensure_ascii=False)).session_id == "caf\u00e9"
+
+    def test_event_fields_cannot_be_assigned(self):
+        event = parse_event(GOOD_LINE)
+        with pytest.raises(AttributeError):
+            event.session_id = "s2"
+
     def test_iter_events_counts_lines(self):
         lines = [GOOD_LINE, "", "  ", GOOD_LINE, "oops"]
         with pytest.raises(TelemetryError, match="line 5"):
