@@ -13,8 +13,8 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import asdict, fields
-from typing import Iterator, List, Optional, TextIO
+from dataclasses import asdict, fields, replace
+from typing import Iterator, List, Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -50,8 +50,6 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 EXIT_SLO_ESCALATED = 3
 
-DEFAULT_SESSIONS = 10_000
-
 _MODEL_FIELD_NAMES = tuple(f.name for f in fields(ModelParams))
 _POLICY_ALIASES = {"static": "static_messaging"}
 
@@ -75,7 +73,7 @@ def _fitting_int(text: str) -> int:
 
 def _load_json(path: str, what: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             doc = json.load(
                 fh,
                 parse_constant=reject_non_finite,
@@ -91,24 +89,22 @@ def _load_json(path: str, what: str) -> dict:
     return doc
 
 
-def _load_config(path: Optional[str]) -> dict:
-    if path is None:
-        return {}
-    doc = _load_json(path, "config file")
+def _load_config(path: Optional[str], **overrides) -> Tuple[SimConfig, SloConfig]:
+    """The whole ``--config`` document, checked once, as the simulation config
+    and the ``slo`` section; each non-``None`` override replaces a top-level
+    simulation field."""
+    doc = {} if path is None else _load_json(path, "config file")
     # Accept bare model-params documents by nesting them under "params".
     if "params" not in doc:
         loose = {k: doc.pop(k) for k in list(doc) if k in _MODEL_FIELD_NAMES}
         if loose:
             doc["params"] = loose
-    return doc
-
-
-def _section(doc: dict, cls, key: str, what: str):
-    """The ``key`` section of a config document as a ``cls``; defaults when absent."""
     try:
-        return _from_doc(cls, doc.get(key, {}), key)
+        slo_cfg = _from_doc(SloConfig, doc.pop("slo", {}), "slo")
+        cfg = SimConfig.from_dict(doc)
+        return replace(cfg, **{k: v for k, v in overrides.items() if v is not None}), slo_cfg
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad {what}: {exc}") from exc
+        raise UsageError(str(exc)) from exc
 
 
 def _write_out(path: Optional[str], doc: dict) -> None:
@@ -121,9 +117,10 @@ def _write_out(path: Optional[str], doc: dict) -> None:
 
 def _read_lines(path: str) -> TextIO:
     """Open telemetry for streaming, line by line; use it in a ``with`` block.
-    Bytes that are not UTF-8 become surrogates, which ``parse_event`` rejects per line."""
+    A leading byte order mark is dropped; bytes that are not UTF-8 become
+    surrogates, which ``parse_event`` rejects per line."""
     try:
-        return open(path, "r", encoding="utf-8", errors="surrogateescape")
+        return open(path, "r", encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         raise UsageError(f"cannot read telemetry {path}: {exc}") from exc
 
@@ -155,25 +152,12 @@ def _format_table(headers, rows) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    doc = _load_config(args.config)
-    doc.setdefault("sessions", DEFAULT_SESSIONS)
-    if args.sessions is not None:
-        doc["sessions"] = args.sessions
-    if args.seed is not None:
-        doc["seed"] = args.seed
+    cfg, _ = _load_config(args.config, sessions=args.sessions, seed=args.seed)
+    if args.policy not in (None, "all"):
+        kind = _POLICY_ALIASES.get(args.policy, args.policy)
+        cfg = replace(cfg, policy=replace(cfg.policy, kind=kind))
 
-    policy = args.policy
-    if policy != "all":
-        policy_doc = dict(doc.get("policy", {}))
-        policy_doc["kind"] = _POLICY_ALIASES.get(policy, policy)
-        doc["policy"] = policy_doc
-
-    try:
-        cfg = SimConfig.from_dict(doc)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
-
-    if policy == "all":
+    if args.policy == "all":
         results = compare_policies(cfg)
         rows = [
             (
@@ -216,8 +200,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     if args.window < 1:
         raise UsageError("--window must be >= 1")
-    doc = _load_config(args.config)
-    params = _section(doc, ModelParams, "params", "model params")
+    params = _load_config(args.config)[0].params
 
     session_ids = []
     latencies = []
@@ -258,9 +241,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     if bool(args.telemetry) == bool(args.sim):
         raise UsageError("exactly one of --telemetry or --sim is required")
-    doc = _load_config(args.config)
-    params = _section(doc, ModelParams, "params", "model params")
-    slo_cfg = _section(doc, SloConfig, "slo", "SLO config")
+    cfg, slo_cfg = _load_config(args.config)
 
     behavior_lines = []
     if args.telemetry:
@@ -294,7 +275,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"repeat engagement {result.repeat_rate * 100:.1f}% [ALERT: below floor]"
             )
 
-    rows = quantile_mode_rows(quantiles, params)
+    rows = quantile_mode_rows(quantiles, cfg.params)
     table_rows = [
         (r.statistic, f"{r.latency_s:.3f}", r.mode.value, f"{r.conversion * 100:.1f}")
         for r in rows
@@ -310,8 +291,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_slo(args: argparse.Namespace) -> int:
     if args.window < 1:
         raise UsageError("--window must be >= 1")
-    doc = _load_config(args.config)
-    slo_cfg = _section(doc, SloConfig, "slo", "SLO config")
+    _, slo_cfg = _load_config(args.config)
     latencies = [confirmation_latency(e) for e in _events(args)]
 
     status = SloStatus()
@@ -409,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="write machine-readable JSON here")
     common = argparse.ArgumentParser(add_help=False, parents=[out])
-    common.add_argument("--config", help="JSON config (model params and/or simulation scenario)")
+    common.add_argument("--config", help="JSON config: scenario, model params, slo targets")
 
     parser = argparse.ArgumentParser(
         prog="latgov",
@@ -419,12 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", parents=[common], help="run the session simulator")
     p_sim.add_argument("--seed", type=int, help=f"RNG seed (default {SimConfig.seed})")
-    p_sim.add_argument("--sessions", type=int, help=f"session count (default {DEFAULT_SESSIONS})")
+    p_sim.add_argument(
+        "--sessions", type=int, help=f"session count (default {SimConfig.sessions})"
+    )
     p_sim.add_argument(
         "--policy",
         choices=("none", "static", "letw", "all"),
-        default="letw",
-        help="governance policy, or 'all' for a three-way comparison",
+        help="governance policy, or 'all' for a three-way comparison "
+        "(default: the config's policy.kind, else letw)",
     )
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -450,7 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--points", help="two conversion points as L1:P1,L2:P2")
     p_fit.add_argument("--hazard-anchor", help="abandonment anchor as latency:median")
     p_fit.add_argument(
-        "--gamma", type=_finite_float, default=0.38, help="hazard slope for the anchor"
+        "--gamma",
+        type=_finite_float,
+        default=ModelParams.gamma,
+        help=f"hazard slope for the anchor (default {ModelParams.gamma})",
     )
     p_fit.set_defaults(func=cmd_fit)
 

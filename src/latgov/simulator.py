@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from statistics import NormalDist
 from typing import Dict, List, Optional, Tuple
 
@@ -61,7 +61,8 @@ def _fits(value, hint) -> bool:
 
 def _from_doc(cls, doc: dict, what: str):
     """Build a dataclass from a plain dict, rejecting unknown keys and
-    values that do not fit their field's annotated type."""
+    values that do not fit their field's annotated type; a dataclass-typed
+    field is decoded from its own dict the same way."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
     hints = typing.get_type_hints(cls)
@@ -69,13 +70,17 @@ def _from_doc(cls, doc: dict, what: str):
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ValueError(f"unknown {what} field(s): {', '.join(unknown)}")
+    values = {}
     for name, value in doc.items():
         hint = hints[name]
-        if not _fits(value, hint):
+        if is_dataclass(hint):
+            value = _from_doc(hint, value, name)
+        elif not _fits(value, hint):
             raise ValueError(
                 f"{what} field {name} must be {getattr(hint, '__name__', hint)}, got {value!r}"
             )
-    return cls(**doc)
+        values[name] = value
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -148,7 +153,7 @@ class Mitigation:
 class SimConfig:
     """One simulation scenario; JSON documents use these exact field names."""
 
-    sessions: int
+    sessions: int = 10_000
     seed: int = 42
     rail: RailDistribution = field(default_factory=RailDistribution)
     policy: PolicySpec = field(default_factory=PolicySpec)
@@ -174,10 +179,6 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
-        doc = dict(doc)
-        for f in fields(cls):
-            if f.default_factory is not MISSING and isinstance(doc.get(f.name), dict):
-                doc[f.name] = _from_doc(f.default_factory, doc[f.name], f.name)
         return _from_doc(cls, doc, "simulation config")
 
     def to_dict(self) -> dict:

@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -411,6 +411,11 @@ def huge_field_telemetry(field):
     return "\n".join([json.dumps(GOOD_EVENT), json.dumps(bad)]) + "\n"
 
 
+# A config "policy" that is not an object -> the type the error names.
+POLICY_NOT_AN_OBJECT = {
+    "5": "int", "null": "NoneType", '"ab"': "str", '[["static_threshold_s", 1.0]]': "list",
+}
+
 # (files to write, argv) per input that once ended in a traceback, a NaN or
 # Infinity, or a silently ignored value.
 REPROS = {
@@ -444,6 +449,8 @@ REPROS = {
             ("alpha_string", '{"params": {"alpha": "x"}}'),
             ("mu_log_string", '{"rail": {"mu_log": "x"}}'),
             ("sessions_true", '{"sessions": true}'),
+            *((f"policy_{kind}", '{"policy": %s}' % text)
+              for text, kind in POLICY_NOT_AN_OBJECT.items()),
         )
     },
     "replay_alpha_string": ({"cfg.json": '{"params": {"alpha": "x"}}',
@@ -547,6 +554,89 @@ class TestTelemetryInput:
         assert got[:3] == expected[:3]
         assert dirty_out.read_bytes() == clean_out.read_bytes()
 
+    @pytest.mark.parametrize("flags", [[], ["--skip-bad"]], ids=["strict", "skip_bad"])
+    @pytest.mark.parametrize("command", TELEMETRY_COMMANDS)
+    def test_byte_order_mark_is_dropped(self, tmp_path, command, flags):
+        # An outlier first event, so losing it changes every command's output.
+        latencies = [6.0, 1.0, 1.1, 1.2, 1.3]
+        text = "\n".join(make_event(f"s{i}", lat) for i, lat in enumerate(latencies)) + "\n"
+        plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        runs = []
+        for path in (plain, marked):
+            out = tmp_path / f"{path.stem}.out"
+            code, stdout, stderr, _ = run_quietly(
+                [command, "--telemetry", str(path), *flags, "--out", str(out)]
+            )
+            runs.append((code, stdout, stderr, out.read_bytes()))
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
+
+
+# Every section of one config document, "slo" included.
+FULL_CONFIG = {**SimConfig(sessions=300).to_dict(), "slo": asdict(SloConfig(p90_max_s=0.5))}
+
+
+class TestConfigFile:
+    """One --config document, decoded the same way by every command that takes it."""
+
+    @pytest.mark.parametrize("text", sorted(POLICY_NOT_AN_OBJECT))
+    def test_policy_must_be_an_object(self, tmp_path, text):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"policy": %s}' % text)
+        code, stdout, stderr, _ = run_quietly(["simulate", "--config", str(config)])
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: policy must be a JSON object, got {POLICY_NOT_AN_OBJECT[text]}\n"
+
+    @pytest.mark.parametrize(
+        "flags,kind",
+        [([], "none"), (["--policy", "static"], "static_messaging"), (["--policy", "letw"], "letw")],
+        ids=["config", "flag_static", "flag_letw"],
+    )
+    def test_policy_kind_from_config_unless_flagged(self, tmp_path, flags, kind):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"policy": {"kind": "none", "static_threshold_s": 1.5}}')
+        out = tmp_path / "out.json"
+        argv = ["simulate", "--config", str(config), "--sessions", "300", *flags, "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["config"]["policy"] == {
+            "kind": kind, "static_threshold_s": 1.5
+        }
+
+    @pytest.mark.parametrize("command", TELEMETRY_COMMANDS)
+    def test_unknown_key_rejected(self, tmp_path, command):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"parms": {}}')
+        write_telemetry(tmp_path / "t.jsonl", [1.0, 1.2])
+        code, stdout, stderr, _ = run_quietly(
+            [command, "--config", str(config), "--telemetry", str(tmp_path / "t.jsonl")]
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: unknown simulation config field(s): parms\n"
+
+    @pytest.mark.parametrize("command", ["simulate", *TELEMETRY_COMMANDS])
+    def test_one_document_serves_every_command(self, tmp_path, command):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(FULL_CONFIG))
+        write_telemetry(tmp_path / "t.jsonl", [1.0] * 6)
+        argv = [command, "--config", str(config)]
+        if command != "simulate":
+            argv += ["--telemetry", str(tmp_path / "t.jsonl")]
+        if command == "slo":
+            argv += ["--window", "2"]
+        code, _, stderr, _ = run_quietly(argv)
+        # Every 1 s window breaches the document's 0.5 s p90 target.
+        assert code == (3 if command == "slo" else 0), stderr
+
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b"\xef\xbb\xbf" + b'{"params": {"alpha": 1.5}}')
+        out = tmp_path / "out.json"
+        assert main(["simulate", "--config", str(config), "--sessions", "300",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["params"]["alpha"] == 1.5
+
 
 # Accepted configs whose arithmetic overflows to +-inf or divides by zero
 # where that limit is the right answer.
@@ -578,7 +668,8 @@ WILD = st.sampled_from(
 
 
 def wild_section(cls):
-    return st.dictionaries(st.sampled_from([f.name for f in fields(cls)]), WILD, max_size=3)
+    """Wild values for some of ``cls``'s fields, or a wild value in place of the section."""
+    return st.dictionaries(st.sampled_from([f.name for f in fields(cls)]), WILD, max_size=3) | WILD
 
 
 SECTIONS = {
