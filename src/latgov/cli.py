@@ -14,11 +14,12 @@ import json
 import math
 import sys
 from dataclasses import asdict, fields, replace
-from typing import Iterator, List, Optional, TextIO, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import List, Optional, TextIO, Tuple
 
 import numpy as np
 
-from .governor import MODE_ORDER, modes, reason_for
+from .governor import MODE_ORDER, modes, reason_table
 from .model import ModelParams, calibrate_lambda0, fit_logistic_two_point, trust_score
 from .simulator import (
     OUTCOME_MODEL,
@@ -34,10 +35,8 @@ from .telemetry import (
     SloConfig,
     SloStatus,
     TelemetryError,
-    TelemetryEvent,
-    confirmation_latency,
-    iter_events,
     perceived_stream,
+    read_columns,
     reject_non_finite,
     slo_alerts,
     slo_evaluate,
@@ -125,15 +124,14 @@ def _read_lines(path: str) -> TextIO:
         raise UsageError(f"cannot read telemetry {path}: {exc}") from exc
 
 
-def _events(args: argparse.Namespace) -> Iterator[TelemetryEvent]:
-    """Stream the ``--telemetry`` events; ``ValueError`` (exit 1) when there are none."""
+def _columns(args: argparse.Namespace, *names: str) -> Tuple[list, ...]:
+    """The ``--telemetry`` events' columns ``names``; ``ValueError`` (exit 1) when
+    there are none."""
     with _read_lines(args.telemetry) as lines:
-        events = iter_events(lines, skip_bad=args.skip_bad)
-        first = next(events, None)
-        if first is None:
-            raise ValueError("no telemetry events")
-        yield first
-        yield from events
+        columns = read_columns(lines, names, skip_bad=args.skip_bad)
+    if not columns[0]:
+        raise ValueError("no telemetry events")
+    return columns
 
 
 def _format_table(headers, rows) -> str:
@@ -202,30 +200,28 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise UsageError("--window must be >= 1")
     params = _load_config(args.config)[0].params
 
-    session_ids = []
-    latencies = []
-    for event in _events(args):
-        session_ids.append(event.session_id)
-        latencies.append(confirmation_latency(event))
-
+    session_ids, latencies = _columns(args, "session_id", "latency_s")
     perceived = perceived_stream(latencies, args.window, include_current=True, k=params.k)
     codes, transitions = modes(perceived, params)
     if args.out:
         sink = open(args.out, "w", encoding="utf-8")
     else:
         sink = contextlib.nullcontext(sys.stdout)
+    # Per mode code: its name and reason_for's limit and reasons, as strings.
+    table = [
+        (mode.value, limit, held.value, crossed.value)
+        for mode, (limit, held, crossed) in zip(MODE_ORDER, reason_table(params))
+    ]
     with sink as out:
+        # Each record is json.dumps(sort_keys=True, separators=(",", ":")) of its
+        # fields: keys in order, finite floats by repr, the id JSON-escaped.
         for session_id, lp, code in zip(session_ids, perceived.tolist(), codes.tolist()):
-            mode = MODE_ORDER[code]
-            record = {
-                "session_id": session_id,
-                "perceived_latency_s": lp,
-                "trust": trust_score(lp, params),
-                "mode": mode.value,
-                "reason": reason_for(mode, lp, params).value,
-            }
+            mode, limit, held, crossed = table[code]
             out.write(
-                json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+                f'{{"mode":"{mode}","perceived_latency_s":{lp!r},'
+                f'"reason":"{crossed if lp > limit else held}",'
+                f'"session_id":{encode_basestring_ascii(session_id)},'
+                f'"trust":{trust_score(lp, params)!r}}}\n'
             )
 
     total = len(perceived)
@@ -245,14 +241,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     behavior_lines = []
     if args.telemetry:
-        latencies = []
-        engaged = 0
-        for event in _events(args):
-            latencies.append(confirmation_latency(event))
-            engaged += event.engaged_60s
+        latencies, engaged = _columns(args, "latency_s", "engaged_60s")
         stats = window_stats(latencies)
         quantiles = {"p50": stats.p50_s, "p90": stats.p90_s, "p99": stats.p99_s}
-        repeat_rate = engaged / len(latencies)
+        repeat_rate = sum(engaged) / len(latencies)
         flag = "  [ALERT: below repeat floor]" if repeat_rate < slo_cfg.repeat_min else ""
         behavior_lines.append(f"repeat engagement: {repeat_rate * 100:.1f}%{flag}")
     else:
@@ -292,7 +284,7 @@ def cmd_slo(args: argparse.Namespace) -> int:
     if args.window < 1:
         raise UsageError("--window must be >= 1")
     _, slo_cfg = _load_config(args.config)
-    latencies = [confirmation_latency(e) for e in _events(args)]
+    (latencies,) = _columns(args, "latency_s")
 
     status = SloStatus()
     windows = []

@@ -126,13 +126,20 @@ def next_mode(mode: Mode, perceived_latency: float, params: ModelParams) -> Mode
     return Mode.SOFT if lp < params.budget_soft - params.hysteresis_h else Mode.DEFERRED
 
 
+def reason_table(params: ModelParams) -> Tuple[Tuple[float, Reason, Reason], ...]:
+    """Per mode in :data:`MODE_ORDER`: ``(limit, held, crossed)``; a perceived
+    latency above ``limit`` explains the mode as ``crossed``, any other as ``held``."""
+    return (
+        (math.inf, Reason.WITHIN_BUDGET, Reason.WITHIN_BUDGET),
+        (params.budget_b_l, Reason.HYSTERESIS_HOLD, Reason.BUDGET_EXCEEDED),
+        (params.budget_soft, Reason.HYSTERESIS_HOLD, Reason.SOFT_LIMIT_EXCEEDED),
+    )
+
+
 def reason_for(mode: Mode, lp: float, params: ModelParams) -> Reason:
     """Why the hysteresis rule landed in ``mode`` on observing perceived latency ``lp``."""
-    if mode is Mode.INSTANT:
-        return Reason.WITHIN_BUDGET
-    if mode is Mode.SOFT:
-        return Reason.BUDGET_EXCEEDED if lp > params.budget_b_l else Reason.HYSTERESIS_HOLD
-    return Reason.SOFT_LIMIT_EXCEEDED if lp > params.budget_soft else Reason.HYSTERESIS_HOLD
+    limit, held, crossed = reason_table(params)[mode.index]
+    return crossed if lp > limit else held
 
 
 def modes(

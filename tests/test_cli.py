@@ -241,6 +241,24 @@ class TestReplay:
         main(["replay", "--telemetry", str(telemetry), "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["out_file", "stdout"])
+    def test_records_are_compact_sorted_json(self, tmp_path, capsys, to_stdout):
+        # Ids that need escaping; latencies that visit every mode and reason.
+        ids = ["café", 'q"uote', "back\\slash", "tab\there", " ", "emoji\U0001f600", "", "s"]
+        latencies = [0.5, 2.6, 2.4, 3.3, 3.1, 1.0, 0.25, 1e-3]
+        telemetry = tmp_path / "t.jsonl"
+        telemetry.write_text(
+            "\n".join(make_event(i, lat) for i, lat in zip(ids, latencies)) + "\n", encoding="utf-8"
+        )
+        out = tmp_path / "d.jsonl"
+        argv = ["replay", "--telemetry", str(telemetry), "--window", "1"]
+        assert main(argv if to_stdout else [*argv, "--out", str(out)]) == 0
+        text = capsys.readouterr().out if to_stdout else out.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        assert [json.loads(line)["session_id"] for line in lines] == ids
+        for line in lines:
+            assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+
 
 class TestReport:
     def test_quantile_mode_table(self, tmp_path, capsys):
