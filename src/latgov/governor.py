@@ -45,7 +45,6 @@ class Reason(enum.Enum):
     BUDGET_EXCEEDED = "budget_exceeded"
     SOFT_LIMIT_EXCEEDED = "soft_limit_exceeded"
     HYSTERESIS_HOLD = "hysteresis_hold"
-    SLO_ESCALATION = "slo_escalation"
 
 
 @dataclass(frozen=True)
