@@ -35,6 +35,7 @@ from .telemetry import (
     SloConfig,
     SloStatus,
     TelemetryError,
+    json_type,
     perceived_stream,
     read_columns,
     reject_non_finite,
@@ -84,7 +85,7 @@ def _load_json(path: str, what: str) -> dict:
     except ValueError as exc:
         raise UsageError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise UsageError(f"{what} {path} must hold a JSON object")
+        raise UsageError(f"{what} {path} must hold a JSON object, got {json_type(doc)}")
     return doc
 
 

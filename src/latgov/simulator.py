@@ -41,7 +41,7 @@ from .model import (
     trust_score,
 )
 from .telemetry import (
-    DEFAULT_WINDOW_CAPACITY, ROLLING_BLOCK, WindowStats, nearest_rank, perceived_stream
+    DEFAULT_WINDOW_CAPACITY, ROLLING_BLOCK, WindowStats, json_type, nearest_rank, perceived_stream
 )
 
 OUTCOME_MODEL = "survive-then-convert"
@@ -64,7 +64,7 @@ def _from_doc(cls, doc: dict, what: str):
     values that do not fit their field's annotated type; a dataclass-typed
     field is decoded from its own dict the same way."""
     if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+        raise ValueError(f"{what} must be a JSON object, got {json_type(doc)}")
     hints = typing.get_type_hints(cls)
     known = {f.name for f in fields(cls)}
     unknown = sorted(set(doc) - known)

@@ -110,10 +110,22 @@ def _require_number(doc: dict, field: str, line: Optional[int]) -> float:
     return float(value)
 
 
+_JSON_TYPE_NAMES = {
+    dict: "object", list: "array", str: "string", int: "number", float: "number",
+    bool: "boolean", type(None): "null",
+}
+
+
+def json_type(value) -> str:
+    """JSON's name for the type of a decoded value, for messages: object,
+    array, string, number, boolean or null."""
+    return _JSON_TYPE_NAMES.get(type(value), type(value).__name__)
+
+
 def event_from_dict(doc: dict, line: Optional[int] = None) -> TelemetryEvent:
     """Validate one decoded JSON object against the event schema."""
     if not isinstance(doc, dict):
-        raise TelemetrySchemaError(f"event must be a JSON object, got {type(doc).__name__}", line)
+        raise TelemetrySchemaError(f"event must be a JSON object, got {json_type(doc)}", line)
     for field in REQUIRED_FIELDS:
         if field not in doc:
             raise TelemetrySchemaError(f"missing required field '{field}'", line)

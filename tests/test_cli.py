@@ -429,9 +429,11 @@ def huge_field_telemetry(field):
     return "\n".join([json.dumps(GOOD_EVENT), json.dumps(bad)]) + "\n"
 
 
-# A config "policy" that is not an object -> the type the error names.
+# A config "policy" that is not an object -> (its decoded Python type, the
+# JSON type the error names).
 POLICY_NOT_AN_OBJECT = {
-    "5": "int", "null": "NoneType", '"ab"': "str", '[["static_threshold_s", 1.0]]': "list",
+    "5": ("int", "number"), "null": ("NoneType", "null"), '"ab"': ("str", "string"),
+    '[["static_threshold_s", 1.0]]': ("list", "array"),
 }
 
 # (files to write, argv) per input that once ended in a traceback, a NaN or
@@ -468,7 +470,7 @@ REPROS = {
             ("mu_log_string", '{"rail": {"mu_log": "x"}}'),
             ("sessions_true", '{"sessions": true}'),
             *((f"policy_{kind}", '{"policy": %s}' % text)
-              for text, kind in POLICY_NOT_AN_OBJECT.items()),
+              for text, (kind, _) in POLICY_NOT_AN_OBJECT.items()),
         )
     },
     "replay_alpha_string": ({"cfg.json": '{"params": {"alpha": "x"}}',
@@ -605,7 +607,31 @@ class TestConfigFile:
         config.write_text('{"policy": %s}' % text)
         code, stdout, stderr, _ = run_quietly(["simulate", "--config", str(config)])
         assert (code, stdout) == (2, "")
-        assert stderr == f"error: policy must be a JSON object, got {POLICY_NOT_AN_OBJECT[text]}\n"
+        json_type = POLICY_NOT_AN_OBJECT[text][1]
+        assert stderr == f"error: policy must be a JSON object, got {json_type}\n"
+
+    @pytest.mark.parametrize(
+        "argv,text,message",
+        [
+            (["simulate", "--config", "{path}"], "[1]",
+             "config file {path} must hold a JSON object, got array"),
+            (["report", "--sim", "{path}"], '"result"',
+             "simulation output {path} must hold a JSON object, got string"),
+            (["report", "--sim", "{path}"], '{"result": true}',
+             "bad simulation output: simulation result must be a JSON object, got boolean"),
+            (["slo", "--telemetry", "{path}"], make_event("s0", 1.0) + "\n2.5\n",
+             "line 2: event must be a JSON object, got number"),
+            (["replay", "--telemetry", "{path}"], "null\n",
+             "line 1: event must be a JSON object, got null"),
+        ],
+        ids=["config_array", "sim_string", "sim_result_boolean", "telemetry_number",
+             "telemetry_null"],
+    )
+    def test_messages_name_json_types(self, tmp_path, argv, text, message):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, stdout, stderr, _ = run_quietly([a.format(path=path) for a in argv])
+        assert (code, stdout, stderr) == (2, "", f"error: {message.format(path=path)}\n")
 
     @pytest.mark.parametrize(
         "flags,kind",
