@@ -5,10 +5,9 @@
     python tests/golden/regenerate.py --inputs  # inputs too
 
 Every case runs ``latgov.cli.main`` from this tree's ``src`` in this process
-on the committed inputs
-and records its exit code, stdout, stderr and ``--out`` file in
-``expected.json.gz``. Regenerate only when an output changes on purpose, and
-say which outputs changed in the commit that does it.
+on the committed inputs, and records its exit code, stdout, stderr and
+``--out`` file in ``expected.json.gz``. Regenerate only when an output
+changes on purpose, and say which outputs changed in the commit that does it.
 
 The inputs are a pure function of ``SEED`` through the stdlib ``random``
 module; they are committed, so a reader never depends on this generator.
