@@ -2,8 +2,11 @@
 
 Behavioral latency curves (:mod:`latgov.model`), telemetry ingestion and
 SLO tracking (:mod:`latgov.telemetry`), the UX mode governor
-(:mod:`latgov.governor`), a seeded Monte-Carlo session simulator
+(:mod:`latgov.governor`), simulation scenarios and results
+(:mod:`latgov.config`), a seeded Monte-Carlo session simulator
 (:mod:`latgov.simulator`), and a CLI (:mod:`latgov.cli`).
+Importing the package does not import NumPy: the simulator's functions are
+imported on first use, and the other modules load NumPy only for arrays.
 """
 
 from .model import (
@@ -51,17 +54,19 @@ from .governor import (
     select_mode_by_trust,
     step,
 )
-from .simulator import (
-    Mitigation,
-    PolicySpec,
-    RailDistribution,
-    SimConfig,
-    SimResult,
-    compare_policies,
-    quantile_mode_report,
-    run_burst,
-    run_simulation,
-    simulate_session,
-)
+from .config import Mitigation, PolicySpec, RailDistribution, SimConfig, SimResult
 
 __version__ = "0.1.0"
+
+_SIMULATOR_NAMES = frozenset(
+    {"compare_policies", "quantile_mode_report", "run_burst", "run_simulation", "simulate_session"}
+)
+
+
+def __getattr__(name: str):
+    """The simulator's functions, imported on first use (PEP 562)."""
+    if name in _SIMULATOR_NAMES:
+        from . import simulator
+
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

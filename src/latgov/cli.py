@@ -17,19 +17,9 @@ from dataclasses import asdict, fields, replace
 from json.encoder import encode_basestring_ascii
 from typing import List, Optional, TextIO, Tuple
 
-import numpy as np
-
+from .config import SimConfig, SimResult, _from_doc, quantile_mode_rows
 from .governor import MODE_ORDER, modes, reason_table
 from .model import ModelParams, calibrate_lambda0, fit_logistic_two_point, trust_score
-from .simulator import (
-    OUTCOME_MODEL,
-    SimConfig,
-    SimResult,
-    _from_doc,
-    compare_policies,
-    quantile_mode_rows,
-    run_simulation,
-)
 from .telemetry import (
     DEFAULT_WINDOW_CAPACITY,
     SloConfig,
@@ -82,7 +72,7 @@ def _load_json(path: str, what: str) -> dict:
             )
     except OSError as exc:
         raise UsageError(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise UsageError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"{what} {path} must hold a JSON object, got {json_type(doc)}")
@@ -151,6 +141,8 @@ def _format_table(headers, rows) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulator import OUTCOME_MODEL, compare_policies, run_simulation  # loads NumPy
+
     cfg, _ = _load_config(args.config, sessions=args.sessions, seed=args.seed)
     if args.policy not in (None, "all"):
         kind = _POLICY_ALIASES.get(args.policy, args.policy)
@@ -225,6 +217,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 f'"trust":{trust_score(lp, params)!r}}}\n'
             )
 
+    import numpy as np  # loaded already, by perceived_stream
     total = len(perceived)
     counts = np.bincount(codes, minlength=len(MODE_ORDER)).tolist()
     shares = " ".join(

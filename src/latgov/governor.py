@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .model import ModelParams, check_latency, perceived_latency, trust_score
 
-if TYPE_CHECKING:  # telemetry imports Mode from here
+if TYPE_CHECKING:  # telemetry imports Mode from here; NumPy loads only in modes()
+    import numpy as np
+
     from .telemetry import SloStatus
 
 DEFAULT_MAX_CONV_DROP = 0.02
@@ -155,6 +155,7 @@ def modes(
     first value seen with it (at most 16 x 3 calls), so the cost grows with the
     number of runs, not of values.
     """
+    import numpy as np
     lp = np.asarray(perceived, dtype=np.float64)
     n = len(lp)
     if n == 0:

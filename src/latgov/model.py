@@ -10,10 +10,9 @@ construction, so results are safe to share across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Literal, Optional, Tuple
-
-import numpy as np
 
 LN2 = math.log(2.0)
 
@@ -27,13 +26,20 @@ SENSITIVITY_FLOOR = 0.25
 SENSITIVITY_CEIL = 4.0
 
 
+def numpy_for(x):
+    """The ``numpy`` module when ``x`` is a NumPy array, else ``None``; never imports
+    NumPy, since no value can be an array before it is imported."""
+    np = sys.modules.get("numpy")
+    return np if np is not None and isinstance(x, np.ndarray) else None
+
+
 def sigmoid(x):
     """Logistic function in the branch form that never overflows exp().
 
     Takes a float (and returns a float) or a NumPy array (and returns an
     array of the same shape, elementwise).
     """
-    if isinstance(x, np.ndarray):
+    if (np := numpy_for(x)) is not None:
         z = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) where x < 0
         return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
     if x >= 0.0:
@@ -171,7 +177,7 @@ def latency_elasticity(latency: float, params: ModelParams) -> float:
 
 def abandonment_hazard(latency, params: ModelParams):
     """Instantaneous abandon rate lambda0 * exp(gamma * L), per second; float or array."""
-    if isinstance(latency, np.ndarray):
+    if (np := numpy_for(latency)) is not None:
         with np.errstate(over="ignore"):  # an infinite hazard abandons at once
             return params.lambda0 * np.exp(params.gamma * latency)
     lat = check_latency(latency)
@@ -212,7 +218,7 @@ def calibrate_lambda0(
 def perceived_latency(mean_latency, std_latency, k: float, s_u: float = 1.0):
     """Jitter-penalized effective delay: mean + s_u * k * std; floats
     (non-negative) or arrays (elementwise, unchecked)."""
-    if not isinstance(mean_latency, np.ndarray):
+    if numpy_for(mean_latency) is None:
         mean_latency = check_latency(mean_latency, "mean_latency")
         std_latency = check_latency(std_latency, "std_latency")
     if k < 0.0:
@@ -234,7 +240,7 @@ def latency_budget(tau: float, params: ModelParams) -> float:
 def trust_score(perceived_latency, params: ModelParams):
     """Map the gap between perceived latency and the budget into (0, 1);
     float (not NaN) or array (elementwise)."""
-    if isinstance(perceived_latency, np.ndarray):
+    if (np := numpy_for(perceived_latency)) is not None:
         with np.errstate(over="ignore"):  # the sigmoid of +-inf is exact
             return sigmoid(-params.eta * (perceived_latency - params.budget_b_l))
     if math.isnan(perceived_latency):
@@ -252,7 +258,7 @@ def latency_utility(
 def context_conversion(latency, ctx: ContextProfile, params: ModelParams):
     """Conversion with the context multiplier applied to latency sensitivity;
     float (non-negative) or array (elementwise, unchecked)."""
-    lat = latency if isinstance(latency, np.ndarray) else check_latency(latency)
+    lat = check_latency(latency) if numpy_for(latency) is None else latency
     return sigmoid(params.alpha - params.beta * ctx.m_c * lat)
 
 

@@ -24,13 +24,15 @@ from dataclasses import dataclass, fields
 from itertools import islice
 from operator import ge, itemgetter
 from typing import (
-    Deque, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+    TYPE_CHECKING, Deque, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
+    Sequence, Tuple,
 )
-
-import numpy as np
 
 from .governor import Mode
 from .model import check_latency, perceived_latency
+
+if TYPE_CHECKING:  # NumPy loads only in the array functions that use it
+    import numpy as np
 
 UX_MODES = tuple(m.value for m in Mode)
 
@@ -194,7 +196,7 @@ def parse_event(line: str, lineno: Optional[int] = None) -> TelemetryEvent:
         doc = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise TelemetryParseError(f"malformed JSON: {exc.msg}", lineno) from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # a hook's error, or nested too deep
         raise TelemetryParseError(f"malformed JSON: {exc}", lineno) from exc
     return event_from_dict(doc, lineno)
 
@@ -248,14 +250,16 @@ _OPTIONAL_TYPES = frozenset({str, type(None)})
 
 def _valid_chunk(lines: List[str]) -> Optional[Dict[str, Sequence]]:
     """Field name -> values of the events on ``lines``, when every non-blank
-    line is an ASCII JSON object that :func:`event_from_dict` accepts; else
+    line is a UTF-8 JSON object that :func:`event_from_dict` accepts; else
     ``None``. Media values stay as decoded (int or float).
 
     The checks run per field over the whole chunk. They never accept a line
     :func:`event_from_dict` rejects; a chunk they refuse, good or not, takes
-    the line-by-line path. On ASCII lines they refuse no good chunk.
+    the line-by-line path. They refuse no good chunk.
     """
-    if not "".join(lines).isascii():  # undecodable bytes are surrogates, not ASCII
+    try:
+        "".join(lines).encode("utf-8")  # undecodable bytes arrive as lone surrogates
+    except UnicodeEncodeError:
         return None
     text = [s for s in map(str.strip, lines) if s]
     if not text:
@@ -407,6 +411,7 @@ def rolling_mean_std(
     depend on the length of ``x``, on a latency shift, or on how small the
     window's spread is next to the data's.
     """
+    import numpy as np
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     x = np.asarray(x, dtype=np.float64)
@@ -462,6 +467,7 @@ def rolling_mean_std(
 def perceived_stream(latencies, window: int, include_current: bool, k: float) -> np.ndarray:
     """:func:`model.perceived_latency` over the :func:`rolling_mean_std` window at
     every index; raises ``ValueError`` where it overflows a float."""
+    import numpy as np
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are rejected below
         perceived, std = rolling_mean_std(latencies, window, include_current)
         for start in range(0, perceived.shape[0], ROLLING_BLOCK):

@@ -436,8 +436,12 @@ POLICY_NOT_AN_OBJECT = {
     '[["static_threshold_s", 1.0]]': ("list", "array"),
 }
 
+# A JSON value nested deeper than the interpreter's recursion limit.
+DEEP = "[" * 100_000
+DEEP_TELEMETRY = "\n".join([make_event("s0", 1.0), DEEP, make_event("s2", 2.0)]) + "\n"
+
 # (files to write, argv) per input that once ended in a traceback, a NaN or
-# Infinity, or a silently ignored value.
+# Infinity, a silently ignored value, or an error without its line.
 REPROS = {
     "rail_sigma_log_1000": ({"cfg.json": '{"rail": {"sigma_log": 1000}}'},
                             ["simulate", "--config", "cfg.json"]),
@@ -489,6 +493,16 @@ REPROS = {
                         "t.jsonl": "\n".join(make_event(f"s{i}", latency) for i, latency
                                              in enumerate([1.0, 1.0, 100.0, 1.0])) + "\n"},
                        ["replay", "--config", "cfg.json", "--telemetry", "t.jsonl"]),
+    "slo_deep_telemetry": ({"t.jsonl": DEEP_TELEMETRY}, ["slo", "--telemetry", "t.jsonl"]),
+    "simulate_deep_config": ({"cfg.json": DEEP}, ["simulate", "--config", "cfg.json"]),
+    "report_deep_sim": ({"sim.json": DEEP}, ["report", "--sim", "sim.json"]),
+}
+
+# REPROS name -> how its one error line starts: a usage error (exit 2) that says where.
+DEEP_NESTING = {
+    "slo_deep_telemetry": "error: line 2: malformed JSON: maximum recursion depth exceeded",
+    "simulate_deep_config": "error: config file cfg.json is not valid JSON: ",
+    "report_deep_sim": "error: simulation output sim.json is not valid JSON: ",
 }
 
 
@@ -507,6 +521,27 @@ class TestBadInputEndsCleanly:
         assert not runtime, [str(w.message) for w in runtime]
         assert not any(token in stdout for token in ("nan", "inf", "NaN", "Infinity")), stdout
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(DEEP_NESTING))
+    def test_deep_nesting_is_a_usage_error(self, tmp_path, monkeypatch, name):
+        files, argv = REPROS[name]
+        for file_name, text in files.items():
+            (tmp_path / file_name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code, _, stderr, _ = run_quietly(argv)
+        assert code == 2
+        assert stderr.startswith(DEEP_NESTING[name]), stderr
+
+    def test_skip_bad_drops_a_deep_line(self, tmp_path):
+        deep, clean = tmp_path / "deep.jsonl", tmp_path / "clean.jsonl"
+        deep.write_text(DEEP_TELEMETRY)
+        clean.write_text(DEEP_TELEMETRY.replace(DEEP, ""))
+        runs = [
+            run_quietly(["slo", "--telemetry", str(path), "--skip-bad", "--window", "2"])
+            for path in (deep, clean)
+        ]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and "n=2" in runs[0][1]
 
     def test_out_of_memory(self, monkeypatch):
         def exhausted(rng, n):

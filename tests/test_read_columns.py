@@ -107,11 +107,23 @@ class TestBulkCheck:
 
     @pytest.mark.parametrize(
         "line",
-        [NON_UTF8, good(0, session_id="café"), good(0) + " " + good(1), good(0) + "]"],
-        ids=["non_utf8", "non_ascii_id", "two_values", "trailing_bracket"],
+        [NON_UTF8, good(0) + " " + good(1), good(0) + "]"],
+        ids=["non_utf8", "two_values", "trailing_bracket"],
     )
     def test_refuses_a_chunk_that_needs_a_closer_look(self, line):
         assert _valid_chunk([good(1), line, good(2)]) is None
+
+    def test_reads_non_ascii_lines_in_bulk(self):
+        lines = [good(n, session_id=f"café-{n}", region="São Paulo") for n in range(READ_CHUNK)]
+        want = event_columns(list(iter_events(lines)))
+        with mock.patch.object(telemetry, "iter_events", side_effect=AssertionError("per line")):
+            assert read_columns(iter(lines), COLUMNS) == want
+
+    def test_surrogate_among_non_ascii_lines_is_a_line_error(self):
+        lines = [good(n, region="São Paulo") for n in range(1, READ_CHUNK + 1)]
+        lines[40] = NON_UTF8
+        with pytest.raises(TelemetryError, match="^line 41: line is not valid UTF-8$"):
+            read_columns(iter(lines), COLUMNS)
 
 
 def chunk_lines(bad, count=READ_CHUNK + 8):
