@@ -498,7 +498,7 @@ REPROS = {
     "report_deep_sim": ({"sim.json": DEEP}, ["report", "--sim", "sim.json"]),
 }
 
-# REPROS name -> how its one error line starts: a usage error (exit 2) that says where.
+# REPROS name -> the start of its error line: a usage error (exit 2) that says where.
 DEEP_NESTING = {
     "slo_deep_telemetry": "error: line 2: malformed JSON: maximum recursion depth exceeded",
     "simulate_deep_config": "error: config file cfg.json is not valid JSON: ",
@@ -521,16 +521,8 @@ class TestBadInputEndsCleanly:
         assert not runtime, [str(w.message) for w in runtime]
         assert not any(token in stdout for token in ("nan", "inf", "NaN", "Infinity")), stdout
         assert not out.exists()
-
-    @pytest.mark.parametrize("name", sorted(DEEP_NESTING))
-    def test_deep_nesting_is_a_usage_error(self, tmp_path, monkeypatch, name):
-        files, argv = REPROS[name]
-        for file_name, text in files.items():
-            (tmp_path / file_name).write_text(text)
-        monkeypatch.chdir(tmp_path)
-        code, _, stderr, _ = run_quietly(argv)
-        assert code == 2
-        assert stderr.startswith(DEEP_NESTING[name]), stderr
+        if name in DEEP_NESTING:
+            assert code == 2 and stderr.startswith(DEEP_NESTING[name]), stderr
 
     def test_skip_bad_drops_a_deep_line(self, tmp_path):
         deep, clean = tmp_path / "deep.jsonl", tmp_path / "clean.jsonl"

@@ -114,16 +114,10 @@ class TestBulkCheck:
         assert _valid_chunk([good(1), line, good(2)]) is None
 
     def test_reads_non_ascii_lines_in_bulk(self):
-        lines = [good(n, session_id=f"café-{n}", region="São Paulo") for n in range(READ_CHUNK)]
+        lines = chunk_lines(NON_ASCII_LINES)
         want = event_columns(list(iter_events(lines)))
         with mock.patch.object(telemetry, "iter_events", side_effect=AssertionError("per line")):
             assert read_columns(iter(lines), COLUMNS) == want
-
-    def test_surrogate_among_non_ascii_lines_is_a_line_error(self):
-        lines = [good(n, region="São Paulo") for n in range(1, READ_CHUNK + 1)]
-        lines[40] = NON_UTF8
-        with pytest.raises(TelemetryError, match="^line 41: line is not valid UTF-8$"):
-            read_columns(iter(lines), COLUMNS)
 
 
 def chunk_lines(bad, count=READ_CHUNK + 8):
@@ -132,6 +126,9 @@ def chunk_lines(bad, count=READ_CHUNK + 8):
     return [bad.get(n, good(n)) for n in range(1, count + 1)]
 
 
+NON_ASCII_LINES = {
+    n: good(n, session_id=f"café-{n}", region="São Paulo") for n in range(1, READ_CHUNK + 9)
+}
 EDGE_CASES = {
     "bad_first_line": {1: "{broken"},
     "bad_last_line_of_chunk": {READ_CHUNK: "[1, 2]"},
@@ -140,6 +137,8 @@ EDGE_CASES = {
     "blank_lines_counted": {2: "", 3: "   ", READ_CHUNK: "", READ_CHUNK + 2: "oops"},
     "non_utf8_mid_chunk": {100: NON_UTF8},
     "non_ascii_id_mid_chunk": {100: good(100, session_id="café")},
+    "non_ascii_lines": NON_ASCII_LINES,
+    "non_utf8_among_non_ascii_lines": {**NON_ASCII_LINES, 100: NON_UTF8},
     "two_values_on_a_line": {7: good(7) + " " + good(8)},
     "missing_field": {9: json.dumps({"session_id": "s9"})},
     "huge_timestamp": {11: good(11, intent_ts=2**63)},
