@@ -324,27 +324,20 @@ def cmd_slo(args: argparse.Namespace) -> int:
     return EXIT_SLO_ESCALATED if escalated_ever else EXIT_OK
 
 
+def _parse_pair(text: str, what: str, form: str) -> Tuple[float, float]:
+    """Two finite numbers written ``a:b``; ``what`` and ``form`` name them in the error."""
+    try:
+        first, second = text.split(":")
+        return _finite_float(first), _finite_float(second)
+    except ValueError as exc:
+        raise UsageError(f"could not parse {what} {text!r}; expected {form}") from exc
+
+
 def _parse_points(text: str):
-    points = []
-    for chunk in text.split(","):
-        try:
-            latency_s, prob_s = chunk.split(":")
-            points.append((_finite_float(latency_s), _finite_float(prob_s)))
-        except ValueError as exc:
-            raise UsageError(f"could not parse point {chunk!r}; expected L:P") from exc
+    points = [_parse_pair(chunk, "point", "L:P") for chunk in text.split(",")]
     if len(points) != 2:
         raise UsageError(f"expected exactly two latency:probability points, got {len(points)}")
     return points
-
-
-def _parse_anchor(text: str):
-    try:
-        latency_s, median_s = text.split(":")
-        return _finite_float(latency_s), _finite_float(median_s)
-    except ValueError as exc:
-        raise UsageError(
-            f"could not parse hazard anchor {text!r}; expected latency:median"
-        ) from exc
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -360,7 +353,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
         fitted["alpha"] = alpha
         fitted["beta"] = beta
     if args.hazard_anchor:
-        anchor_latency, anchor_median = _parse_anchor(args.hazard_anchor)
+        anchor_latency, anchor_median = _parse_pair(
+            args.hazard_anchor, "hazard anchor", "latency:median"
+        )
         try:
             fitted["lambda0"] = calibrate_lambda0(anchor_latency, anchor_median, args.gamma)
         except ValueError as exc:

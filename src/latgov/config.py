@@ -13,22 +13,14 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .governor import Mode, decide_simple
 from .model import ContextProfile, ModelParams, context_conversion, numpy_for
-from .telemetry import DEFAULT_WINDOW_CAPACITY, json_type
+from .telemetry import DEFAULT_WINDOW_CAPACITY, json_type, json_types
 
 POLICY_KINDS = ("none", "static_messaging", "letw")
-
-
-def _fits(value, hint) -> bool:
-    """Whether a decoded JSON value fits an annotated field type."""
-    if typing.get_origin(hint) is typing.Union:  # Optional[...]
-        return any(_fits(value, arg) for arg in typing.get_args(hint))
-    types = (int, float) if hint is float else typing.get_origin(hint) or hint
-    return isinstance(value, types) and (hint is bool or not isinstance(value, bool))
 
 
 def _from_doc(cls, doc: dict, what: str):
@@ -37,9 +29,8 @@ def _from_doc(cls, doc: dict, what: str):
     field is decoded from its own dict the same way."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, got {json_type(doc)}")
-    hints = typing.get_type_hints(cls)
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(doc) - known)
+    hints = typing.get_type_hints(cls)  # the fields: these classes declare no ClassVar
+    unknown = sorted(set(doc) - set(hints))
     if unknown:
         raise ValueError(f"unknown {what} field(s): {', '.join(unknown)}")
     values = {}
@@ -47,7 +38,7 @@ def _from_doc(cls, doc: dict, what: str):
         hint = hints[name]
         if is_dataclass(hint):
             value = _from_doc(hint, value, name)
-        elif not _fits(value, hint):
+        elif type(value) not in json_types(hint):
             raise ValueError(
                 f"{what} field {name} must be {getattr(hint, '__name__', hint)}, got {value!r}"
             )
@@ -174,6 +165,16 @@ class SimResult:
     latency_p99: float
 
     def __post_init__(self) -> None:
+        for name in ("conversion_rate", "abandonment_rate", "repeat_rate", "mean_trust"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be inside [0, 1], got {value}")
+        for mode, share in self.mode_shares.items():
+            if not 0.0 <= share <= 1.0:
+                raise ValueError(f"mode share {mode} must be inside [0, 1], got {share}")
+        q = (self.latency_p50, self.latency_p90, self.latency_p99)
+        if not 0.0 <= q[0] <= q[1] <= q[2]:
+            raise ValueError(f"latency quantiles must be ordered 0 <= p50 <= p90 <= p99, got {q}")
         if self.conversion_rate + self.abandonment_rate > 1.0 + 1e-9:
             raise ValueError("conversion and abandonment cannot exceed 1 combined")
         share_sum = sum(self.mode_shares.values())

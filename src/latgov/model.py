@@ -188,11 +188,9 @@ def abandonment_hazard(latency, params: ModelParams):
 
 
 def median_abandon_time(latency: float, params: ModelParams) -> float:
-    """Median of the exponential patience clock at the given latency."""
-    hazard = abandonment_hazard(latency, params)
-    if hazard <= 0.0:
-        raise ValueError("abandonment hazard is zero; median is undefined")
-    return LN2 / hazard
+    """Median of the exponential patience clock at the given latency (the
+    hazard is at least ``lambda0`` > 0)."""
+    return LN2 / abandonment_hazard(latency, params)
 
 
 def calibrate_lambda0(

@@ -4,14 +4,14 @@ Wire format is one JSON object per line (JSONL, UTF-8) with snake_case
 fields; see :data:`REQUIRED_FIELDS`. Unknown fields are ignored so the
 schema can grow without breaking old readers.
 
-:func:`event_from_dict` is the schema: the one source of every rule and
-every message. There are two readers over it. :func:`iter_events` streams
-one :class:`TelemetryEvent` per line. :func:`read_columns`, the reader of
-the CLI, returns only the columns it is asked for. It decodes a chunk of
-:data:`READ_CHUNK` lines at a time and checks the chunk's columns in bulk
-against every rule. A chunk that fails any check is read again line by
-line through :func:`parse_event`. So both readers accept, number and drop
-the same lines with the same messages.
+The schema is the types of :class:`TelemetryEvent`'s annotations (see
+:func:`json_types`) plus :data:`SCHEMA`, one table of the other rules and
+their messages. Two readers walk it: :func:`iter_events` a value at a time
+(:func:`event_from_dict`), one event per line; :func:`read_columns`, the
+reader of the CLI, a column at a time over :data:`READ_CHUNK` decoded lines,
+returning only the columns asked for. A chunk that fails any check is read
+again line by line through :func:`parse_event`. So both readers accept,
+number and drop the same lines with the same messages.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from __future__ import annotations
 import json
 import math
 import sys
+import typing
 from collections import deque
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import islice, repeat
 from operator import ge, itemgetter
 from typing import (
     TYPE_CHECKING, Deque, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
@@ -101,25 +102,51 @@ OPTIONAL_FIELDS = tuple(TelemetryEvent._field_defaults)
 REQUIRED_FIELDS = tuple(f for f in TelemetryEvent._fields if f not in OPTIONAL_FIELDS)
 
 
-def _require_int(doc: dict, field: str, line: Optional[int]) -> int:
-    value = doc[field]
-    if isinstance(value, bool) or not isinstance(value, int) or not -(2**63) <= value < 2**63:
-        raise TelemetrySchemaError(
-            f"field '{field}' must be a signed 64-bit integer millisecond timestamp, "
-            f"got {value!r}",
-            line,
-        )
-    return value
+def json_types(hint) -> FrozenSet[type]:
+    """The types of decoded JSON values that fit an annotation, exactly (so
+    ``int`` takes no ``bool``): ``float`` takes ``int`` too, ``Optional``
+    adds ``NoneType``, and ``Dict[str, float]`` is ``dict``."""
+    if typing.get_origin(hint) is typing.Union:
+        return frozenset().union(*map(json_types, typing.get_args(hint)))
+    if hint is float:
+        return frozenset({int, float})
+    return frozenset({typing.get_origin(hint) or hint})
 
 
-def _require_number(doc: dict, field: str, line: Optional[int]) -> float:
-    value = doc[field]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TelemetrySchemaError(f"field '{field}' must be numeric, got {value!r}", line)
-    if not 0.0 <= value <= sys.float_info.max:  # exact for a huge int; float() would overflow
-        raise TelemetrySchemaError(f"field '{field}' must be finite and >= 0, got {value}", line)
-    return float(value)
+_HINTS = typing.get_type_hints(TelemetryEvent)
+_FIELD_TYPES = {f: json_types(h) for f, h in _HINTS.items()}
+_FLOAT_INDEXES = tuple(i for i, h in enumerate(_HINTS.values()) if h is float)
+_MUST = "field '{field}' must be %s, got {value!r}"
+_TIMESTAMP = _MUST % "a signed 64-bit integer millisecond timestamp"
+_INT64 = (-(2**63), 2**63 - 1)
+_FINITE = (0.0, sys.float_info.max)
 
+# The event schema beyond the types of TelemetryEvent's annotations: one rule
+# a row, in the order event_from_dict checks them. A value keeps a row's rule
+# when its type is in the field's json_types, it is one of ``values`` (unless
+# None) and ``low <= value <= high`` (unless low is None; a field name as low
+# stands for that field's value). Else ``message``, formatted with the field,
+# the value and low, says why.
+SCHEMA = (
+    # field            values               low, high              message
+    ("session_id",      None,                None, None,            _MUST % "a string"),
+    ("intent_ts",       None,                *_INT64,               _TIMESTAMP),
+    ("confirm_ts",      None,                *_INT64,               _TIMESTAMP),
+    ("confirm_ts",      None,                "intent_ts", _INT64[1],
+     "confirm before intent (confirm_ts={value} < intent_ts={low})"),
+    ("ux_mode",         frozenset(UX_MODES), None, None,            _MUST % f"one of {UX_MODES}"),
+    ("engaged_60s",     None,                None, None,            _MUST % "a boolean"),
+    ("region",          None,                None, None,            _MUST % "a string"),
+    ("device",          None,                None, None,            _MUST % "a string"),
+    ("media_rtt_ms",    None,                None, None,            _MUST % "numeric"),
+    ("media_rtt_ms",    None,                *_FINITE,              _MUST % "finite and >= 0"),
+    ("media_jitter_ms", None,                None, None,            _MUST % "numeric"),
+    ("media_jitter_ms", None,                *_FINITE,              _MUST % "finite and >= 0"),
+)
+
+# SCHEMA as event_from_dict walks it, over the event's values in field
+# order: each row led by its field's index and the JSON types it takes.
+_RULES = tuple((TelemetryEvent._fields.index(f), _FIELD_TYPES[f], *r) for f, *r in SCHEMA)
 
 _JSON_TYPE_NAMES = {
     dict: "object", list: "array", str: "string", int: "number", float: "number",
@@ -134,46 +161,30 @@ def json_type(value) -> str:
 
 
 def event_from_dict(doc: dict, line: Optional[int] = None) -> TelemetryEvent:
-    """Validate one decoded JSON object against the event schema."""
+    """Validate one decoded JSON object against the event schema: every
+    required field present, then :data:`SCHEMA` a row at a time."""
     if not isinstance(doc, dict):
         raise TelemetrySchemaError(f"event must be a JSON object, got {json_type(doc)}", line)
-    for field in REQUIRED_FIELDS:
-        if field not in doc:
-            raise TelemetrySchemaError(f"missing required field '{field}'", line)
-
-    session_id = doc["session_id"]
-    if not isinstance(session_id, str):
-        raise TelemetrySchemaError(f"field 'session_id' must be a string, got {session_id!r}", line)
-    intent_ts = _require_int(doc, "intent_ts", line)
-    confirm_ts = _require_int(doc, "confirm_ts", line)
-    if confirm_ts < intent_ts:
-        raise TelemetrySchemaError(
-            f"confirm before intent (confirm_ts={confirm_ts} < intent_ts={intent_ts})", line
-        )
-    ux_mode = doc["ux_mode"]
-    if ux_mode not in UX_MODES:
-        raise TelemetrySchemaError(f"field 'ux_mode' must be one of {UX_MODES}, got {ux_mode!r}", line)
-    engaged = doc["engaged_60s"]
-    if not isinstance(engaged, bool):
-        raise TelemetrySchemaError(f"field 'engaged_60s' must be a boolean, got {engaged!r}", line)
-
-    optional = {}
-    for field in OPTIONAL_FIELDS:
-        value = doc.get(field)
-        if value is not None and not isinstance(value, str):
-            raise TelemetrySchemaError(f"field '{field}' must be a string, got {value!r}", line)
-        optional[field] = value
-
-    return TelemetryEvent(
-        session_id=session_id,
-        intent_ts=intent_ts,
-        confirm_ts=confirm_ts,
-        media_rtt_ms=_require_number(doc, "media_rtt_ms", line),
-        media_jitter_ms=_require_number(doc, "media_jitter_ms", line),
-        ux_mode=ux_mode,
-        engaged_60s=engaged,
-        **optional,
-    )
+    event = list(map(doc.get, TelemetryEvent._fields))
+    for index, types, values, low, high, message in _RULES:
+        value = event[index]
+        if type(value) in types and (values is None or value in values):
+            if low is None:
+                continue
+            if isinstance(low, str):
+                low = doc[low]
+            if low <= value <= high:
+                continue
+        # A missing field is None, which no required field's type takes: so
+        # the walk fails on it, and the missing field is the first message.
+        for field in REQUIRED_FIELDS:
+            if field not in doc:
+                raise TelemetrySchemaError(f"missing required field '{field}'", line)
+        field = TelemetryEvent._fields[index]
+        raise TelemetrySchemaError(message.format(field=field, value=value, low=low), line)
+    for index in _FLOAT_INDEXES:
+        event[index] = float(event[index])
+    return TelemetryEvent._make(event)
 
 
 def reject_non_finite(token: str):
@@ -242,58 +253,52 @@ READ_CHUNK = 256
 
 # The columns read_columns can return: the event fields and the latency.
 COLUMNS = TelemetryEvent._fields + ("latency_s",)
-_MEDIA_FIELDS = ("media_rtt_ms", "media_jitter_ms")
 _required_values = itemgetter(*REQUIRED_FIELDS)
-_UX_MODE_SET = frozenset(UX_MODES)
-_OPTIONAL_TYPES = frozenset({str, type(None)})
 
 
 def _valid_chunk(lines: List[str]) -> Optional[Dict[str, Sequence]]:
     """Field name -> values of the events on ``lines``, when every non-blank
     line is a UTF-8 JSON object that :func:`event_from_dict` accepts; else
-    ``None``. Media values stay as decoded (int or float).
+    ``None``. Float fields stay as decoded (int or float).
 
-    The checks run per field over the whole chunk. They never accept a line
-    :func:`event_from_dict` rejects; a chunk they refuse, good or not, takes
-    the line-by-line path. They refuse no good chunk.
+    The checks walk :data:`SCHEMA` a column at a time over the whole chunk.
+    They never accept a line :func:`event_from_dict` rejects; a chunk they
+    refuse, good or not, takes the line-by-line path. They refuse no good
+    chunk.
     """
     try:
         "".join(lines).encode("utf-8")  # undecodable bytes arrive as lone surrogates
     except UnicodeEncodeError:
         return None
-    text = [s for s in map(str.strip, lines) if s]
+    text = list(filter(None, map(str.strip, lines)))
     if not text:
         return {}
     scan = _DECODER.scan_once
     try:
-        decoded = [scan(s, 0) for s in text]  # raises on the first bad line
-        if [end for _, end in decoded] != list(map(len, text)):  # a trailing value
+        docs, ends = zip(*[scan(s, 0) for s in text])  # raises on the first bad line
+        if ends != tuple(map(len, text)):  # a trailing value
             return None
-        docs = [doc for doc, _ in decoded]
         # A value that is not an object, or one missing a field, raises here.
         columns = dict(zip(REQUIRED_FIELDS, zip(*map(_required_values, docs))))
-        for field in OPTIONAL_FIELDS:
-            columns[field] = [doc.get(field) for doc in docs]
-        intent, confirm = columns["intent_ts"], columns["confirm_ts"]
-        media = columns["media_rtt_ms"] + columns["media_jitter_ms"]
-        valid = (
-            set(map(type, columns["session_id"])) == {str}
-            and set(map(type, intent + confirm)) == {int}
-            and -(2**63) <= min(intent)
-            and max(confirm) < 2**63
-            and all(map(ge, confirm, intent))
-            and set(map(type, media)) <= {int, float}
-            and 0.0 <= min(media)
-            and max(media) <= sys.float_info.max
-            and set(columns["ux_mode"]) <= _UX_MODE_SET
-            and set(map(type, columns["engaged_60s"])) == {bool}
-            and all(set(map(type, columns[f])) <= _OPTIONAL_TYPES for f in OPTIONAL_FIELDS)
-        )
     except (StopIteration, ValueError, LookupError, TypeError, RecursionError):
-        # Not JSON, not finite, too deep, not an object, a field missing, an
-        # unhashable mode: the line-by-line path says what, and where.
+        # Not JSON, not finite, too deep, not an object, a field missing: the
+        # line-by-line path says what, and where.
         return None
-    return columns if valid else None
+    for field in OPTIONAL_FIELDS:
+        columns[field] = list(map(dict.get, docs, repeat(field)))
+    for field, types in _FIELD_TYPES.items():
+        if not set(map(type, columns[field])) <= types:
+            return None
+    for field, values, low, high, _ in SCHEMA:
+        column = columns[field]
+        if values is not None and not set(column) <= values:
+            return None
+        if low is None:
+            continue
+        above = all(map(ge, column, columns[low])) if isinstance(low, str) else low <= min(column)
+        if not (above and max(column) <= high):
+            return None
+    return columns
 
 
 def read_columns(
@@ -323,7 +328,7 @@ def read_columns(
         for name, column in zip(names, columns):
             if name == "latency_s":
                 column.extend(map(_latency_s, values["confirm_ts"], values["intent_ts"]))
-            elif name in _MEDIA_FIELDS:
+            elif _HINTS.get(name) is float:
                 column.extend(map(float, values[name]))
             else:
                 column.extend(values[name])

@@ -296,6 +296,22 @@ class TestReport:
         assert main(["report", "--sim", str(sim_out)]) == 0
         assert "p99" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "conversion_rate, repeat_rate, alerts",
+        [
+            pytest.param(0.5, 0.1, [], id="above_both_floors"),
+            pytest.param(0.05, 0.1, ["conversion 5.0% [ALERT: below floor]"], id="conversion"),
+            pytest.param(0.5, 0.01, ["repeat engagement 1.0% [ALERT: below floor]"], id="repeat"),
+        ],
+    )
+    def test_sim_floor_alerts(self, tmp_path, capsys, conversion_rate, repeat_rate, alerts):
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps(
+            {**SIM_RESULT, "conversion_rate": conversion_rate, "repeat_rate": repeat_rate}
+        ))
+        assert main(["report", "--sim", str(sim)]) == 0
+        assert [line for line in capsys.readouterr().out.splitlines() if "ALERT" in line] == alerts
+
     def test_requires_exactly_one_source(self, tmp_path):
         assert main(["report"]) == 2
         telemetry = tmp_path / "t.jsonl"
@@ -373,10 +389,18 @@ class TestFit:
         assert doc["beta"] == 0.0
 
     @pytest.mark.parametrize(
-        "points", ["1:0.5", "1:0.5,2:0.6,3:0.7", "nonsense", "1:2:3,4:5", "1:0.5,1:0.6"]
+        "flag, value",
+        [
+            *(pytest.param("--points", points, id=points) for points in
+              ["1:0.5", "1:0.5,2:0.6,3:0.7", "nonsense", "1:2:3,4:5", "1:0.5,1:0.6"]),
+            *(pytest.param("--hazard-anchor", anchor, id=f"anchor-{anchor}") for anchor in
+              ["7", "1:7:2", "one:7", "1:inf"]),
+        ],
     )
-    def test_bad_points_usage_error(self, points):
-        assert main(["fit", "--points", points]) == 2
+    def test_bad_points_usage_error(self, capsys, flag, value):
+        assert main(["fit", flag, value]) == 2
+        if flag == "--hazard-anchor":
+            assert "could not parse hazard anchor" in capsys.readouterr().err
 
     def test_points_too_close_for_a_finite_fit(self, capsys):
         assert main(["fit", "--points", "0:0.1,5e-324:0.9"]) == 2
@@ -421,6 +445,12 @@ def assert_no_non_finite(path):
 
 
 HUGE = 10**400
+# A valid `report --sim` input: one simulation result document.
+SIM_RESULT = {
+    "conversion_rate": 0.5, "abandonment_rate": 0.1, "repeat_rate": 0.1, "mean_trust": 0.6,
+    "mode_shares": {"instant": 0.7, "soft": 0.2, "deferred": 0.1},
+    "latency_p50": 1.4, "latency_p90": 2.2, "latency_p99": 4.7,
+}
 GOOD_EVENT = json.loads(make_event("s0", 1.0))
 
 
@@ -496,13 +526,25 @@ REPROS = {
     "slo_deep_telemetry": ({"t.jsonl": DEEP_TELEMETRY}, ["slo", "--telemetry", "t.jsonl"]),
     "simulate_deep_config": ({"cfg.json": DEEP}, ["simulate", "--config", "cfg.json"]),
     "report_deep_sim": ({"sim.json": DEEP}, ["report", "--sim", "sim.json"]),
+    **{
+        f"report_sim_{name}": ({"sim.json": json.dumps({**SIM_RESULT, **bad})},
+                               ["report", "--sim", "sim.json"])
+        for name, bad in (
+            ("latency_p50_minus_1", {"latency_p50": -1}),
+            ("conversion_minus_5", {"conversion_rate": -5}),
+            ("quantiles_unordered", {"latency_p50": 3.0, "latency_p99": 1.0}),
+        )
+    },
 }
 
 # REPROS name -> the start of its error line: a usage error (exit 2) that says where.
-DEEP_NESTING = {
+USAGE_ERRORS = {
     "slo_deep_telemetry": "error: line 2: malformed JSON: maximum recursion depth exceeded",
     "simulate_deep_config": "error: config file cfg.json is not valid JSON: ",
     "report_deep_sim": "error: simulation output sim.json is not valid JSON: ",
+    "report_sim_latency_p50_minus_1": "error: bad simulation output: latency quantiles",
+    "report_sim_conversion_minus_5": "error: bad simulation output: conversion_rate",
+    "report_sim_quantiles_unordered": "error: bad simulation output: latency quantiles",
 }
 
 
@@ -521,8 +563,8 @@ class TestBadInputEndsCleanly:
         assert not runtime, [str(w.message) for w in runtime]
         assert not any(token in stdout for token in ("nan", "inf", "NaN", "Infinity")), stdout
         assert not out.exists()
-        if name in DEEP_NESTING:
-            assert code == 2 and stderr.startswith(DEEP_NESTING[name]), stderr
+        if name in USAGE_ERRORS:
+            assert code == 2 and stderr.startswith(USAGE_ERRORS[name]), stderr
 
     def test_skip_bad_drops_a_deep_line(self, tmp_path):
         deep, clean = tmp_path / "deep.jsonl", tmp_path / "clean.jsonl"

@@ -211,28 +211,25 @@ class TestOutcomeStructure:
         assert SimResult.from_dict(result.to_dict()) == result
 
     def test_result_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            SimResult(
-                conversion_rate=0.8,
-                abandonment_rate=0.4,
-                repeat_rate=0.1,
-                mean_trust=0.5,
-                mode_shares={"instant": 1.0},
-                latency_p50=1.0,
-                latency_p90=2.0,
-                latency_p99=3.0,
-            )
-        with pytest.raises(ValueError):
-            SimResult(
-                conversion_rate=0.5,
-                abandonment_rate=0.1,
-                repeat_rate=0.1,
-                mean_trust=0.5,
-                mode_shares={"instant": 0.5, "soft": 0.2},
-                latency_p50=1.0,
-                latency_p90=2.0,
-                latency_p99=3.0,
-            )
+        valid = dict(
+            conversion_rate=0.5, abandonment_rate=0.1, repeat_rate=0.1, mean_trust=0.5,
+            mode_shares={"instant": 1.0}, latency_p50=1.0, latency_p90=2.0, latency_p99=3.0,
+        )
+        SimResult(**valid)
+        for bad, message in (
+            ({"conversion_rate": 0.8, "abandonment_rate": 0.4}, "cannot exceed 1 combined"),
+            ({"mode_shares": {"instant": 0.5, "soft": 0.2}}, "must sum to 1"),
+            ({"conversion_rate": -5}, "conversion_rate must be inside"),
+            ({"abandonment_rate": 1.5}, "abandonment_rate must be inside"),
+            ({"repeat_rate": -0.1}, "repeat_rate must be inside"),
+            ({"mean_trust": 2.0}, "mean_trust must be inside"),
+            ({"mode_shares": {"instant": 1.5, "soft": -0.5}}, "mode share instant"),
+            ({"latency_p50": -1.0}, "quantiles must be ordered"),
+            ({"latency_p90": 0.5}, "quantiles must be ordered"),
+            ({"latency_p99": 1.5}, "quantiles must be ordered"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                SimResult(**{**valid, **bad})
 
 
 class TestPolicyCoupling:

@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 from fractions import Fraction
+from typing import Dict, Optional, get_type_hints
 
 import numpy as np
 import pytest
@@ -16,16 +17,20 @@ from latgov.telemetry import (
     OPTIONAL_FIELDS,
     REQUIRED_FIELDS,
     ROLLING_BLOCK,
+    SCHEMA,
     LatencyWindow,
     SloConfig,
     SloStatus,
     TelemetryError,
+    TelemetryEvent,
     TelemetryParseError,
     TelemetrySchemaError,
     WindowStats,
     confirmation_latency,
+    event_from_dict,
     event_to_json,
     iter_events,
+    json_types,
     nearest_rank,
     parse_event,
     perceived_stream,
@@ -47,6 +52,39 @@ GOOD_LINE = json.dumps(
         "engaged_60s": True,
     }
 )
+
+
+MISSING = object()
+_TIMESTAMP = "must be a signed 64-bit integer millisecond timestamp, got"
+
+# (field, value put in GOOD_LINE or MISSING to remove it, the message),
+# one break of each rule, in the order event_from_dict checks them.
+VIOLATIONS = [
+    *((f, MISSING, f"missing required field '{f}'") for f in REQUIRED_FIELDS),
+    ("session_id", 42, "field 'session_id' must be a string, got 42"),
+    ("session_id", None, "field 'session_id' must be a string, got None"),
+    ("intent_ts", 1000.5, f"field 'intent_ts' {_TIMESTAMP} 1000.5"),
+    ("intent_ts", True, f"field 'intent_ts' {_TIMESTAMP} True"),
+    ("intent_ts", -(2**63) - 1, f"field 'intent_ts' {_TIMESTAMP} -9223372036854775809"),
+    ("confirm_ts", "2400", f"field 'confirm_ts' {_TIMESTAMP} '2400'"),
+    ("confirm_ts", 2**63, f"field 'confirm_ts' {_TIMESTAMP} 9223372036854775808"),
+    ("confirm_ts", -(2**63) - 1, f"field 'confirm_ts' {_TIMESTAMP} -9223372036854775809"),
+    ("confirm_ts", 999, "confirm before intent (confirm_ts=999 < intent_ts=1000)"),
+    ("ux_mode", "urgent",
+     "field 'ux_mode' must be one of ('instant', 'soft', 'deferred'), got 'urgent'"),
+    ("ux_mode", ["soft"],
+     "field 'ux_mode' must be one of ('instant', 'soft', 'deferred'), got ['soft']"),
+    ("engaged_60s", "yes", "field 'engaged_60s' must be a boolean, got 'yes'"),
+    ("engaged_60s", 1, "field 'engaged_60s' must be a boolean, got 1"),
+    ("region", 7, "field 'region' must be a string, got 7"),
+    ("device", {"os": "android"}, "field 'device' must be a string, got {'os': 'android'}"),
+    ("media_rtt_ms", "low", "field 'media_rtt_ms' must be numeric, got 'low'"),
+    ("media_rtt_ms", True, "field 'media_rtt_ms' must be numeric, got True"),
+    ("media_rtt_ms", -1, "field 'media_rtt_ms' must be finite and >= 0, got -1"),
+    ("media_jitter_ms", None, "field 'media_jitter_ms' must be numeric, got None"),
+    ("media_jitter_ms", -0.5, "field 'media_jitter_ms' must be finite and >= 0, got -0.5"),
+    ("media_jitter_ms", 10**400, f"field 'media_jitter_ms' must be finite and >= 0, got {10**400}"),
+]
 
 
 def oracle_stats(values):
@@ -123,6 +161,44 @@ class TestParsing:
         doc[field] = value
         with pytest.raises(TelemetrySchemaError):
             parse_event(json.dumps(doc))
+
+    def test_first_broken_rule_names_the_message(self):
+        """Every single break gives its exact message; two breaks give the
+        message of the one checked first (VIOLATIONS is in check order)."""
+        good = json.loads(GOOD_LINE)
+        mismatches = []
+        for i, (field_a, value_a, message) in enumerate(VIOLATIONS):
+            for field_b, value_b, _ in [(None, None, None), *VIOLATIONS[i + 1:]]:
+                if field_b == field_a:
+                    continue
+                doc = {**good, field_a: value_a}
+                if field_b is not None:
+                    doc[field_b] = value_b
+                doc = {k: v for k, v in doc.items() if v is not MISSING}
+                try:
+                    event_from_dict(doc)
+                    got = None
+                except TelemetrySchemaError as exc:
+                    got = str(exc)
+                if got != message:
+                    mismatches.append((field_a, value_a, field_b, value_b, got))
+        assert not mismatches
+
+    def test_schema_covers_every_event_field(self):
+        assert {f for f, *_ in SCHEMA} == set(TelemetryEvent._fields)
+        # So a missing required field (read as None) fails a row.
+        hints = get_type_hints(TelemetryEvent)
+        assert not any(type(None) in json_types(hints[f]) for f in REQUIRED_FIELDS)
+
+    def test_json_types_follow_the_annotation(self):
+        assert json_types(str) == {str}
+        assert json_types(int) == {int}
+        assert json_types(bool) == {bool}
+        assert json_types(float) == {int, float}
+        assert json_types(Optional[str]) == {str, type(None)}
+        assert json_types(Optional[float]) == {int, float, type(None)}
+        assert json_types(Dict[str, float]) == {dict}
+        assert type(np.float64(1.0)) not in json_types(float)  # no JSON value decodes to it
 
     def test_field_lists_follow_the_event_dataclass(self):
         assert REQUIRED_FIELDS == (
