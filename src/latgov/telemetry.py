@@ -124,15 +124,16 @@ _FINITE = (0.0, sys.float_info.max)
 # The event schema beyond the types of TelemetryEvent's annotations: one rule
 # a row, in the order event_from_dict checks them. A value keeps a row's rule
 # when its type is in the field's json_types, it is one of ``values`` (unless
-# None) and ``low <= value <= high`` (unless low is None; a field name as low
-# stands for that field's value). Else ``message``, formatted with the field,
-# the value and low, says why.
+# None), ``low <= value`` (unless low is None, which means no bound; a field
+# name as low stands for that field's value) and ``value <= high`` (unless
+# high is None). Else ``message``, formatted with the field, the value and
+# low, says why.
 SCHEMA = (
     # field            values               low, high              message
     ("session_id",      None,                None, None,            _MUST % "a string"),
     ("intent_ts",       None,                *_INT64,               _TIMESTAMP),
     ("confirm_ts",      None,                *_INT64,               _TIMESTAMP),
-    ("confirm_ts",      None,                "intent_ts", _INT64[1],
+    ("confirm_ts",      None,                "intent_ts", None,
      "confirm before intent (confirm_ts={value} < intent_ts={low})"),
     ("ux_mode",         frozenset(UX_MODES), None, None,            _MUST % f"one of {UX_MODES}"),
     ("engaged_60s",     None,                None, None,            _MUST % "a boolean"),
@@ -173,7 +174,7 @@ def event_from_dict(doc: dict, line: Optional[int] = None) -> TelemetryEvent:
                 continue
             if isinstance(low, str):
                 low = doc[low]
-            if low <= value <= high:
+            if low <= value and (high is None or value <= high):
                 continue
         # A missing field is None, which no required field's type takes: so
         # the walk fails on it, and the missing field is the first message.
@@ -273,14 +274,15 @@ def _valid_chunk(lines: List[str]) -> Optional[Dict[str, Sequence]]:
     text = list(filter(None, map(str.strip, lines)))
     if not text:
         return {}
-    scan = _DECODER.scan_once
     try:
-        docs, ends = zip(*[scan(s, 0) for s in text])  # raises on the first bad line
-        if ends != tuple(map(len, text)):  # a trailing value
+        # A line that is not JSON ends the map early (scan_once raises
+        # StopIteration), so fewer ends come back than there are lines.
+        docs, ends = zip(*map(_DECODER.scan_once, text, repeat(0)))
+        if ends != tuple(map(len, text)):  # a line not JSON, or with a trailing value
             return None
         # A value that is not an object, or one missing a field, raises here.
         columns = dict(zip(REQUIRED_FIELDS, zip(*map(_required_values, docs))))
-    except (StopIteration, ValueError, LookupError, TypeError, RecursionError):
+    except (ValueError, LookupError, TypeError, RecursionError):
         # Not JSON, not finite, too deep, not an object, a field missing: the
         # line-by-line path says what, and where.
         return None
@@ -296,7 +298,7 @@ def _valid_chunk(lines: List[str]) -> Optional[Dict[str, Sequence]]:
         if low is None:
             continue
         above = all(map(ge, column, columns[low])) if isinstance(low, str) else low <= min(column)
-        if not (above and max(column) <= high):
+        if not above or (high is not None and max(column) > high):
             return None
     return columns
 

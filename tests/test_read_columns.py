@@ -150,6 +150,7 @@ EDGE_CASES = {
     "largest_media": {17: good(17, media_rtt_ms=1.7976931348623157e308)},
     "number_for_region": {18: good(18, region=5)},
     "object_for_mode": {19: good(19, ux_mode={"instant": 1})},
+    "unknown_mode": {20: good(20, ux_mode="urgent")},
 }
 
 

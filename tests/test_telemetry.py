@@ -83,7 +83,8 @@ VIOLATIONS = [
     ("media_rtt_ms", -1, "field 'media_rtt_ms' must be finite and >= 0, got -1"),
     ("media_jitter_ms", None, "field 'media_jitter_ms' must be numeric, got None"),
     ("media_jitter_ms", -0.5, "field 'media_jitter_ms' must be finite and >= 0, got -0.5"),
-    ("media_jitter_ms", 10**400, f"field 'media_jitter_ms' must be finite and >= 0, got {10**400}"),
+    ("media_jitter_ms", 10**400,
+     f"field 'media_jitter_ms' must be finite and >= 0, got {10**400}"),
 ]
 
 
