@@ -353,11 +353,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
         fitted["alpha"] = alpha
         fitted["beta"] = beta
     if args.hazard_anchor:
-        anchor_latency, anchor_median = _parse_pair(
-            args.hazard_anchor, "hazard anchor", "latency:median"
-        )
+        latency, median = _parse_pair(args.hazard_anchor, "hazard anchor", "latency:median")
         try:
-            fitted["lambda0"] = calibrate_lambda0(anchor_latency, anchor_median, args.gamma)
+            fitted["lambda0"] = calibrate_lambda0(latency, median, args.gamma)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     _write_out(args.out, fitted)

@@ -123,11 +123,10 @@ _FINITE = (0.0, sys.float_info.max)
 
 # The event schema beyond the types of TelemetryEvent's annotations: one rule
 # a row, in the order event_from_dict checks them. A value keeps a row's rule
-# when its type is in the field's json_types, it is one of ``values`` (unless
-# None), ``low <= value`` (unless low is None, which means no bound; a field
-# name as low stands for that field's value) and ``value <= high`` (unless
-# high is None). Else ``message``, formatted with the field, the value and
-# low, says why.
+# when its type is in the field's json_types, it is one of ``values`` and
+# ``low <= value <= high``, each part unless None (a field name as low stands
+# for that field's value). Else ``message``, formatted with the field, the
+# value and low, says why.
 SCHEMA = (
     # field            values               low, high              message
     ("session_id",      None,                None, None,            _MUST % "a string"),
