@@ -194,7 +194,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     params = _load_config(args.config)[0].params
 
     session_ids, latencies = _columns(args, "session_id", "latency_s")
-    perceived = perceived_stream(latencies, args.window, include_current=True, k=params.k)
+    perceived = perceived_stream(latencies, args.window, params.k)
     codes, transitions = modes(perceived, params)
     if args.out:
         sink = open(args.out, "w", encoding="utf-8")

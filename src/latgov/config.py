@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .governor import Mode, decide_simple
 from .model import ContextProfile, ModelParams, context_conversion, numpy_for
-from .telemetry import DEFAULT_WINDOW_CAPACITY, json_type, json_types
+from .telemetry import DEFAULT_WINDOW_CAPACITY, UX_MODES, json_type, json_types
 
 POLICY_KINDS = ("none", "static_messaging", "letw")
 
@@ -42,6 +42,11 @@ def _from_doc(cls, doc: dict, what: str):
             raise ValueError(
                 f"{what} field {name} must be {getattr(hint, '__name__', hint)}, got {value!r}"
             )
+        elif typing.get_origin(hint) is dict:  # JSON keys are strings; check the values
+            of = typing.get_args(hint)[1]
+            for k, v in value.items():
+                if type(v) not in json_types(of):
+                    raise ValueError(f"{what} field {name}[{k!r}] must be {of.__name__}, got {v!r}")
         values[name] = value
     return cls(**values)
 
@@ -170,6 +175,8 @@ class SimResult:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be inside [0, 1], got {value}")
         for mode, share in self.mode_shares.items():
+            if mode not in UX_MODES:
+                raise ValueError(f"mode_shares key {mode!r} must be one of {UX_MODES}")
             if not 0.0 <= share <= 1.0:
                 raise ValueError(f"mode share {mode} must be inside [0, 1], got {share}")
         q = (self.latency_p50, self.latency_p90, self.latency_p99)

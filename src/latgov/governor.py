@@ -35,7 +35,7 @@ class Mode(enum.Enum):
         return MODE_ORDER.index(self)
 
 
-MODE_ORDER = (Mode.INSTANT, Mode.SOFT, Mode.DEFERRED)
+MODE_ORDER = tuple(Mode)  # the declaration order: least to most protective
 
 
 class Reason(enum.Enum):

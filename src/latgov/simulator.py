@@ -17,6 +17,10 @@ variates are drawn up front from one seeded generator in four fixed lanes
 uniforms); session ``i`` always consumes slot ``i`` of each lane, so two
 policies compared under the same seed see identical per-session draws.
 
+Trust window: a session sees only earlier sessions, so session ``i`` perceives the
+:func:`telemetry.perceived_stream` window ending with session ``i - 1`` (one session
+late), and session 0 the empty window, 0.
+
 Outcome composition (documented in output metadata): a session first
 survives or loses the patience race, then converts via a Bernoulli draw,
 and only converted sessions can repeat.
@@ -151,7 +155,8 @@ def _simulate_policies(cfg: SimConfig, kinds: Tuple[str, ...]) -> Dict[str, Sess
     del latency_z
     if not np.isfinite(latencies).all():
         raise ValueError("latencies overflow a float; lower the rail's mu_log, sigma_log or shift_s")
-    perceived = perceived_stream(latencies, cfg.window_capacity, include_current=False, k=params.k)
+    perceived = np.concatenate(  # one session late: see the module docstring
+        ([0.0], perceived_stream(latencies[:-1], cfg.window_capacity, params.k)))
 
     mode, transitions = {}, dict.fromkeys(kinds, 0)
     for kind in kinds:

@@ -397,85 +397,72 @@ def window_stats(values: Sequence[float]) -> WindowStats:
     )
 
 
-def rolling_mean_std(
-    x, window: int, include_current: bool
-) -> Tuple[np.ndarray, np.ndarray]:
+def rolling_mean_std(x, window: int) -> Tuple[np.ndarray, np.ndarray]:
     """Mean and sample std (n-1) of the last ``window`` values at every index.
 
-    With ``include_current`` the window at index i ends with x[i] (push,
-    then stats: replay). Without it the window ends with x[i-1], so index 0
-    sees an empty window (a simulated session sees only earlier sessions).
-    Empty windows read mean 0 and one-value windows std 0, as in
-    :meth:`LatencyWindow.stats`.
+    The window at index i ends with x[i], as :meth:`LatencyWindow.stats` reads
+    it after a push, so no window is empty; one-value windows read std 0.
+    (The simulator reads it one index late; see :mod:`latgov.simulator`.)
 
-    The values are cut into rows of ``window`` values, so every full window
-    is the tail of one row plus the head of the next. Running sums over
-    each row give every head (about the row's first value) and every tail
-    (about its last value); the two parts are then merged with the pairwise
-    update of Chan, Golub & LeVeque (1979). Each sum runs over at most
-    ``window`` values about a value of its own part, so precision does not
-    depend on the length of ``x``, on a latency shift, or on how small the
-    window's spread is next to the data's.
+    The values are cut into rows of ``window`` values, so every window is the
+    head of one row, up to x[i], plus the tail of the row before, possibly
+    empty. Running sums over each row give every head (about the row's first
+    value) and every tail (about its last value); the two parts are then
+    merged with the pairwise update of Chan, Golub & LeVeque (1979). Each sum
+    runs over at most ``window`` values about a value of its own part, so
+    precision does not depend on the length of ``x``, on a latency shift, or
+    on how small the window's spread is next to the data's.
     """
     import numpy as np
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-    mean = np.zeros(n)
-    std = np.zeros(n)
-    lag = 0 if include_current else 1
+    mean, std = np.empty(n), np.empty(n)
     window = min(window, max(n, 1))  # a longer window sees the same values
     block = max(1, ROLLING_BLOCK // window) * window
     for start in range(0, n, block):
         stop = min(start + block, n)
-        lo = max(0, start + 1 - lag - window) // window * window  # a row boundary
-        ends = np.arange(start + 1 - lag, stop + 1 - lag) - lo  # exclusive, from lo
-        seg = x[lo : lo + ends[-1]]
-        flat = np.zeros(max(1, -(-seg.shape[0] // window)) * window)
-        flat[: seg.shape[0]] = seg
+        lo = max(0, start + 1 - window) // window * window  # a row boundary
+        last = np.arange(start, stop) - lo  # each window's last value, from lo
+        flat = np.zeros(-(-(stop - lo) // window) * window)
+        flat[: stop - lo] = x[lo:stop]
         rows = flat.reshape(-1, window)
         dev = rows - rows[:, :1]
-        head1 = np.cumsum(dev, axis=1).ravel()
-        head2 = np.cumsum(dev * dev, axis=1).ravel()
+        h1 = np.cumsum(dev, axis=1).ravel()[last]
+        h2 = np.cumsum(dev * dev, axis=1).ravel()[last]
         dev = rows[:, ::-1] - rows[:, -1:]
         tail1 = np.cumsum(dev, axis=1)[:, ::-1].ravel()
         tail2 = np.cumsum(dev * dev, axis=1)[:, ::-1].ravel()
 
-        # Head: the window's values in its last row, [ends - n_head, ends);
-        # tail: the rest, [ends - window, ends - n_head), ending the row before.
-        n_head = ends % window
-        n_tail = np.where(ends >= window, window - n_head, 0)
+        # Head: the window's values in its last row, [last + 1 - n_head, last];
+        # tail: the rest, [last + 1 - window, last + 1 - n_head), in the row before.
+        n_head = last % window + 1
+        n_tail = np.where(last >= window, window - n_head, 0)
         count = n_head + n_tail
-        i_head = np.maximum(ends - 1, 0)
-        h1 = np.where(n_head > 0, head1[i_head], 0.0)
-        h2 = np.where(n_head > 0, head2[i_head], 0.0)
-        mean_head = flat[np.minimum(ends - n_head, flat.size - 1)] + h1 / np.maximum(n_head, 1)
-        i_tail = np.maximum(ends - window, 0)
-        r1 = np.where(n_tail > 0, tail1[i_tail], 0.0)
-        r2 = np.where(n_tail > 0, tail2[i_tail], 0.0)
-        mean_tail = flat[i_tail - n_head + window - 1] + r1 / np.maximum(n_tail, 1)
+        mean_head = flat[last + 1 - n_head] + h1 / n_head
+        r1 = np.where(n_tail > 0, tail1[last + 1 - window], 0.0)  # no tail: a stray index, masked
+        r2 = np.where(n_tail > 0, tail2[last + 1 - window], 0.0)
+        mean_tail = flat[last - n_head] + r1 / np.maximum(n_tail, 1)
 
-        delta = np.where((n_head > 0) & (n_tail > 0), mean_head - mean_tail, 0.0)
-        size = np.maximum(count, 1)
+        delta = np.where(n_tail > 0, mean_head - mean_tail, 0.0)
         m2 = (
-            (h2 - h1 * h1 / np.maximum(n_head, 1))
+            (h2 - h1 * h1 / n_head)
             + (r2 - r1 * r1 / np.maximum(n_tail, 1))
-            + delta * delta * n_head * n_tail / size
+            + delta * delta * n_head * n_tail / count
         )
-        merged = np.where(n_tail > 0, mean_tail + delta * n_head / size, mean_head)
-        mean[start:stop] = np.where(count > 0, merged, 0.0)
+        mean[start:stop] = np.where(n_tail > 0, mean_tail + delta * n_head / count, mean_head)
         var = np.maximum(m2, 0.0) / np.maximum(count - 1, 1)
         std[start:stop] = np.where(count > 1, np.sqrt(var), 0.0)
     return mean, std
 
 
-def perceived_stream(latencies, window: int, include_current: bool, k: float) -> np.ndarray:
-    """:func:`model.perceived_latency` over the :func:`rolling_mean_std` window at
-    every index; raises ``ValueError`` where it overflows a float."""
+def perceived_stream(latencies, window: int, k: float) -> np.ndarray:
+    """:func:`model.perceived_latency` over the :func:`rolling_mean_std` window
+    ending at every index; raises ``ValueError`` where it overflows a float."""
     import numpy as np
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are rejected below
-        perceived, std = rolling_mean_std(latencies, window, include_current)
+        perceived, std = rolling_mean_std(latencies, window)
         for start in range(0, perceived.shape[0], ROLLING_BLOCK):
             b = slice(start, start + ROLLING_BLOCK)
             perceived[b] = perceived_latency(perceived[b], std[b], k)

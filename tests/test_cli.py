@@ -533,6 +533,10 @@ REPROS = {
             ("latency_p50_minus_1", {"latency_p50": -1}),
             ("conversion_minus_5", {"conversion_rate": -5}),
             ("quantiles_unordered", {"latency_p50": 3.0, "latency_p99": 1.0}),
+            *((f"mode_share_{name}", {"mode_shares": {"instant": share, "soft": 0.0,
+                                                      "deferred": 0.0}})
+              for name, share in (("string", "x"), ("null", None), ("true", True))),
+            ("mode_shares_bogus_key", {"mode_shares": {"bogus": 1.0}}),
         )
     },
 }
@@ -545,6 +549,12 @@ USAGE_ERRORS = {
     "report_sim_latency_p50_minus_1": "error: bad simulation output: latency quantiles",
     "report_sim_conversion_minus_5": "error: bad simulation output: conversion_rate",
     "report_sim_quantiles_unordered": "error: bad simulation output: latency quantiles",
+    **{
+        f"report_sim_mode_share_{name}": "error: bad simulation output: simulation result "
+                                         "field mode_shares['instant'] must be float"
+        for name in ("string", "null", "true")
+    },
+    "report_sim_mode_shares_bogus_key": "error: bad simulation output: mode_shares key 'bogus'",
 }
 
 

@@ -289,6 +289,10 @@ class TestTrustScore:
         values = [trust_score(float(g), PARAMS) for g in grid]
         assert all(b < a for a, b in zip(values, values[1:]))
 
+    def test_nan_is_refused(self):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            trust_score(float("nan"), PARAMS)
+
 
 class TestLatencyUtility:
     def test_zero(self):

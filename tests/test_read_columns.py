@@ -18,7 +18,9 @@ from latgov.telemetry import (
     OPTIONAL_FIELDS,
     READ_CHUNK,
     REQUIRED_FIELDS,
+    SCHEMA,
     TelemetryError,
+    TelemetrySchemaError,
     _valid_chunk,
     confirmation_latency,
     event_from_dict,
@@ -151,6 +153,31 @@ EDGE_CASES = {
     "number_for_region": {18: good(18, region=5)},
     "object_for_mode": {19: good(19, ux_mode={"instant": 1})},
     "unknown_mode": {20: good(20, ux_mode="urgent")},
+    "number_for_session_id": {21: good(21, session_id=21)},
+    "huge_confirm_ts": {22: good(22, confirm_ts=2**63)},
+    "int_for_engaged": {23: good(23, engaged_60s=1)},
+    "number_for_device": {24: good(24, device=5)},
+    "string_for_rtt": {25: good(25, media_rtt_ms="80")},
+    "media_past_float_max": {26: good(26, media_rtt_ms=10**400)},
+    "bool_for_jitter": {27: good(27, media_jitter_ms=True)},
+    "float_for_confirm_ts": {28: good(28, confirm_ts=1028.0)},
+    "negative_rtt": {29: good(29, media_rtt_ms=-0.5)},
+    "jitter_past_float_max": {30: good(30, media_jitter_ms=10**400)},
+}
+# SCHEMA index -> the EDGE_CASES case whose one bad line breaks that row first.
+SCHEMA_ROW_CASES = {
+    0: "number_for_session_id",
+    1: "huge_timestamp",
+    2: "huge_confirm_ts",
+    3: "bad_first_line_of_next_chunk",
+    4: "unknown_mode",
+    5: "int_for_engaged",
+    6: "number_for_region",
+    7: "number_for_device",
+    8: "string_for_rtt",
+    9: "media_past_float_max",
+    10: "bool_for_jitter",
+    11: "negative_media",
 }
 
 
@@ -187,6 +214,15 @@ class TestReadColumns:
             parse_event(lines[bad[0] - 1].strip(), bad[0])
         assert runs["strict"] == (2, "", f"error: {first.value}\n", None)
         assert str(first.value).startswith(f"line {bad[0]}: ")
+
+    def test_every_schema_row_has_a_case_that_breaks_it(self):
+        assert sorted(SCHEMA_ROW_CASES) == list(range(len(SCHEMA)))
+        for index, case in SCHEMA_ROW_CASES.items():
+            (line,) = EDGE_CASES[case].values()
+            field, *_, message = SCHEMA[index]
+            with pytest.raises(TelemetrySchemaError) as error:
+                parse_event(line)
+            assert str(error.value).startswith(message.split("{value")[0].format(field=field))
 
     @pytest.mark.parametrize("bad_lines", [1, 3, READ_CHUNK + 2])
     def test_skip_bad_drop_counts(self, bad_lines):

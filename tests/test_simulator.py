@@ -27,7 +27,7 @@ from latgov.simulator import (
     simulate_session,
     summarize_trace,
 )
-from latgov.telemetry import ROLLING_BLOCK, WindowStats
+from latgov.telemetry import ROLLING_BLOCK, WindowStats, perceived_stream
 
 Z90 = 1.2815515655446004
 Z99 = 2.3263478740408408
@@ -227,9 +227,15 @@ class TestOutcomeStructure:
             ({"latency_p50": -1.0}, "quantiles must be ordered"),
             ({"latency_p90": 0.5}, "quantiles must be ordered"),
             ({"latency_p99": 1.5}, "quantiles must be ordered"),
+            ({"mode_shares": {"bogus": 1.0}}, "mode_shares key 'bogus' must be one of"),
         ):
             with pytest.raises(ValueError, match=message):
                 SimResult(**{**valid, **bad})
+        # A share that is not a JSON number (a boolean is not one) is refused on decoding.
+        for share in ("x", None, True):
+            doc = {**valid, "mode_shares": {"instant": share, "soft": 0.0, "deferred": 0.0}}
+            with pytest.raises(ValueError, match=r"field mode_shares\['instant'\] must be float"):
+                SimResult.from_dict(doc)
 
 
 class TestPolicyCoupling:
@@ -381,6 +387,16 @@ def test_letw_mode_carries_across_blocks():
     assert trace.mode.tolist() == codes
     assert trace.governor_transitions == state.transitions
     assert trace.mode[ROLLING_BLOCK - 1 :: ROLLING_BLOCK].any()
+
+
+@pytest.mark.parametrize("sessions, window", [(1, 256), (2, 256), (ROLLING_BLOCK + 3, 7)])
+def test_sessions_read_the_window_one_session_late(sessions, window):
+    """Session 0 sees the empty window; session i the one ending with session i - 1."""
+    trace = simulate_paths(SimConfig(sessions=sessions, seed=9, window_capacity=window))
+    assert trace.perceived_s.shape == (sessions,)
+    assert trace.perceived_s[0] == 0.0
+    want = perceived_stream(trace.latency_s[:-1], window, ModelParams().k)
+    assert np.array_equal(trace.perceived_s[1:], want)
 
 
 def test_overflow_in_the_last_latency_is_rejected(monkeypatch):

@@ -260,6 +260,12 @@ class TestLatencyWindow:
             window.push(float(value))
         assert window.stats().count == 10
 
+    def test_length_stays_at_capacity_past_it(self):
+        window = LatencyWindow(capacity=3)
+        for value in range(1, 6):
+            window.push(float(value))
+        assert len(window) == 3
+
     def test_eviction_matches_list_oracle(self):
         rng = np.random.default_rng(11)
         window = LatencyWindow(capacity=10)
@@ -349,67 +355,84 @@ def fsum_window_stats(values):
     return mean, math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
 
 
-def assert_rolling_matches_oracle(x, window, include_current, indexes):
-    mean, std = rolling_mean_std(x, window, include_current)
+def read_as(replay, window_fn, x, *args):
+    """``window_fn(x, window, ...)``'s arrays as ``replay`` reads them (the
+    window at i ends with x[i]) or else as ``simulate`` does, one index late:
+    index i reads the window over x[:-1] that ends with x[i - 1], and index 0
+    the empty window (0.0)."""
+    if replay:
+        return window_fn(x, *args)
+    got = window_fn(x[:-1], *args)
+    if isinstance(got, tuple):
+        return tuple(np.concatenate(([0.0], a)) for a in got)
+    return np.concatenate(([0.0], got))
+
+
+def assert_rolling_matches_oracle(x, window, replay, indexes):
+    mean, std = read_as(replay, rolling_mean_std, x, window)
     assert mean.shape == std.shape == (len(x),)
     values = x.tolist()
     for i in indexes:
-        end = i + 1 if include_current else i
+        end = i + 1 if replay else i
         want_mean, want_std = fsum_window_stats(values[max(0, end - window) : end])
         assert mean[i] == pytest.approx(want_mean, rel=1e-9, abs=1e-12), i
         assert std[i] == pytest.approx(want_std, rel=1e-9, abs=1e-12), i
 
 
 class TestRollingMeanStd:
-    @pytest.mark.parametrize("include_current", [True, False])
+    @pytest.mark.parametrize("replay", [True, False])
     @pytest.mark.parametrize("window", [1, 2, 7, 64, 256, 5000])
-    def test_matches_fsum_oracle(self, window, include_current):
+    def test_matches_fsum_oracle(self, window, replay):
         x = np.random.default_rng(window).lognormal(np.log(1.4), 0.6, size=3000)
-        assert_rolling_matches_oracle(x, window, include_current, range(len(x)))
+        assert_rolling_matches_oracle(x, window, replay, range(len(x)))
 
-    @pytest.mark.parametrize("include_current", [True, False])
-    def test_fewer_values_than_window(self, include_current):
+    @pytest.mark.parametrize("replay", [True, False])
+    def test_fewer_values_than_window(self, replay):
         x = np.array([1.0, 4.0, 2.5, 0.5])
         for window in (10, 10**12):
-            assert_rolling_matches_oracle(x, window, include_current, range(len(x)))
+            assert_rolling_matches_oracle(x, window, replay, range(len(x)))
 
-    def test_include_current_is_push_then_stats(self):
-        """Replay pushes, then reads the window; the simulator reads the
-        window of earlier sessions only, so index 0 sees an empty window."""
+    def test_window_is_push_then_stats(self):
+        """The window at i is what LatencyWindow holds after pushing x[i];
+        the simulator reads it one index late, so index 0 sees no values."""
         x = np.array([1.0, 2.0, 3.0, 6.0])
-        mean, _ = rolling_mean_std(x, 2, include_current=True)
+        mean, std = rolling_mean_std(x, 2)
         assert mean.tolist() == [1.0, 1.5, 2.5, 4.5]
-        mean, std = rolling_mean_std(x, 2, include_current=False)
+        window = LatencyWindow(capacity=2)
+        for i, value in enumerate(x.tolist()):
+            stats = window.push(value).stats()
+            assert (mean[i], std[i]) == (stats.mean_s, stats.std_s)
+        mean, std = read_as(False, rolling_mean_std, x, 2)
         assert mean.tolist() == [0.0, 1.0, 1.5, 2.5]
         assert std[:2].tolist() == [0.0, 0.0]
 
     def test_stable_at_a_million_values_under_a_large_shift(self):
         x = 1000.0 + np.random.default_rng(1).lognormal(np.log(1.4), 0.52, size=1_000_000)
         indexes = [*range(0, len(x), 997), *range(len(x) - 300, len(x))]
-        for include_current in (True, False):
-            assert_rolling_matches_oracle(x, 256, include_current, indexes)
+        for replay in (True, False):
+            assert_rolling_matches_oracle(x, 256, replay, indexes)
 
     def test_empty_input_and_bad_window(self):
-        mean, std = rolling_mean_std([], 4, include_current=True)
+        mean, std = rolling_mean_std([], 4)
         assert mean.shape == std.shape == (0,)
         with pytest.raises(ValueError):
-            rolling_mean_std([1.0], 0, include_current=True)
+            rolling_mean_std([1.0], 0)
 
 
 class TestPerceivedStream:
-    @pytest.mark.parametrize("include_current", [True, False])
+    @pytest.mark.parametrize("replay", [True, False])
     @pytest.mark.parametrize("window", [1, 16, 256])
-    def test_is_rolling_mean_std_then_perceived_latency(self, window, include_current):
+    def test_is_rolling_mean_std_then_perceived_latency(self, window, replay):
         x = np.random.default_rng(window).lognormal(np.log(1.4), 0.6, size=3 * ROLLING_BLOCK + 17)
-        mean, std = rolling_mean_std(x, window, include_current)
+        mean, std = read_as(replay, rolling_mean_std, x, window)
         want = perceived_latency(mean, std, 0.8)
-        assert np.array_equal(perceived_stream(x, window, include_current, 0.8), want)
+        assert np.array_equal(read_as(replay, perceived_stream, x, window, 0.8), want)
 
     def test_overflow_is_a_value_error_without_a_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows a float"):
-                perceived_stream([1.0, 1.0, 100.0, 1.0], 256, True, 1e308)
+                perceived_stream([1.0, 1.0, 100.0, 1.0], 256, 1e308)
 
 
 class TestNearestRank:
@@ -431,6 +454,10 @@ class TestNearestRank:
 
     def test_single_element(self):
         assert nearest_rank([3.3], 0.5) == 3.3
+
+    def test_tiny_q_is_the_first_rank(self):
+        # q * n below the rank epsilon rounds to rank 0, which is clamped to 1.
+        assert nearest_rank([1.0, 2.0, 3.0], 1e-12) == 1.0
 
     def test_rejects_empty_and_bad_q(self):
         with pytest.raises(ValueError):
@@ -593,3 +620,5 @@ class TestConfigValidation:
             WindowStats(count=3, mean_s=1.0, std_s=0.1, p50_s=2.0, p90_s=1.0, p99_s=3.0)
         with pytest.raises(ValueError):
             WindowStats(count=3, mean_s=1.0, std_s=-0.1, p50_s=1.0, p90_s=1.0, p99_s=1.0)
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            WindowStats(count=-1, mean_s=1.0, std_s=0.1, p50_s=1.0, p90_s=1.0, p99_s=1.0)
