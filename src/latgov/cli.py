@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from typing import List, Optional, TextIO, Tuple
 
 from .config import SimConfig, SimResult, _from_doc, quantile_mode_rows
-from .governor import MODE_ORDER, modes, reason_table
+from .governor import MODE_ORDER, mode_shares, modes, reason_table
 from .model import ModelParams, calibrate_lambda0, fit_logistic_two_point, trust_score
 from .telemetry import (
     DEFAULT_WINDOW_CAPACITY,
@@ -140,6 +140,10 @@ def _format_table(headers, rows) -> str:
     return "\n".join(lines)
 
 
+def _format_shares(shares: dict) -> str:
+    return " ".join(f"{mode}={share * 100:.1f}%" for mode, share in shares.items())
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .simulator import OUTCOME_MODEL, compare_policies, run_simulation  # loads NumPy
 
@@ -160,11 +164,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             for kind, res in results.items()
         ]
         print(_format_table(("policy", "conversion (%)", "repeat (%)", "trust index"), rows))
-        out_doc = {
-            "config": cfg.to_dict(),
-            "policies": {kind: res.to_dict() for kind, res in results.items()},
-            "outcome_model": OUTCOME_MODEL,
-        }
+        out_doc = {"policies": {kind: res.to_dict() for kind, res in results.items()}}
     else:
         result = run_simulation(cfg)
         print(
@@ -173,28 +173,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"abandonment={result.abandonment_rate * 100:.2f}% "
             f"repeat={result.repeat_rate * 100:.2f}% "
             f"trust={result.mean_trust:.4f}\n"
-            f"modes: "
-            + " ".join(f"{m}={s * 100:.1f}%" for m, s in result.mode_shares.items())
-            + "\n"
+            f"modes: {_format_shares(result.mode_shares)}\n"
             f"latency p50={result.latency_p50:.3f}s p90={result.latency_p90:.3f}s "
             f"p99={result.latency_p99:.3f}s"
         )
-        out_doc = {
-            "config": cfg.to_dict(),
-            "result": result.to_dict(),
-            "outcome_model": OUTCOME_MODEL,
-        }
-    _write_out(args.out, out_doc)
+        out_doc = {"result": result.to_dict()}
+    _write_out(args.out, {"config": cfg.to_dict(), **out_doc, "outcome_model": OUTCOME_MODEL})
     return EXIT_OK
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    if args.window < 1:
-        raise UsageError("--window must be >= 1")
-    params = _load_config(args.config)[0].params
+    cfg, _ = _load_config(args.config, window_capacity=args.window)
+    params = cfg.params
 
     session_ids, latencies = _columns(args, "session_id", "latency_s")
-    perceived = perceived_stream(latencies, args.window, params.k)
+    perceived = perceived_stream(latencies, cfg.window_capacity, params.k)
     codes, transitions = modes(perceived, params)
     if args.out:
         sink = open(args.out, "w", encoding="utf-8")
@@ -217,13 +210,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 f'"trust":{trust_score(lp, params)!r}}}\n'
             )
 
-    import numpy as np  # loaded already, by perceived_stream
-    total = len(perceived)
-    counts = np.bincount(codes, minlength=len(MODE_ORDER)).tolist()
-    shares = " ".join(
-        f"{m.value}={counts[i] / total * 100:.1f}%" for i, m in enumerate(MODE_ORDER)
-    )
-    summary = f"events={total} transitions={transitions} modes: {shares}"
+    shares = _format_shares(mode_shares(codes))
+    summary = f"events={len(perceived)} transitions={transitions} modes: {shares}"
     print(summary, file=sys.stdout if args.out else sys.stderr)
     return EXIT_OK
 
@@ -261,7 +249,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"repeat engagement {result.repeat_rate * 100:.1f}% [ALERT: below floor]"
             )
 
-    rows = quantile_mode_rows(quantiles, cfg.params)
+    rows = quantile_mode_rows(quantiles, cfg.params, cfg.ctx)
     table_rows = [
         (r.statistic, f"{r.latency_s:.3f}", r.mode.value, f"{r.conversion * 100:.1f}")
         for r in rows
@@ -391,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_replay = sub.add_parser("replay", parents=[common], help="replay telemetry through the governor")
     p_replay.add_argument("--telemetry", required=True, help="JSONL telemetry input")
-    p_replay.add_argument("--window", type=int, default=DEFAULT_WINDOW_CAPACITY)
+    p_replay.add_argument("--window", type=int, help="trust window, in events (default: "
+                          f"the config's window_capacity, else {SimConfig.window_capacity})")
     p_replay.add_argument("--skip-bad", action="store_true", help="skip malformed lines")
     p_replay.set_defaults(func=cmd_replay)
 

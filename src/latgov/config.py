@@ -11,16 +11,25 @@ start without it, and only :mod:`latgov.simulator` (``simulate``) and
 
 from __future__ import annotations
 
+import json
 import math
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .governor import Mode, decide_simple
 from .model import ContextProfile, ModelParams, context_conversion, numpy_for
 from .telemetry import DEFAULT_WINDOW_CAPACITY, UX_MODES, json_type, json_types
 
 POLICY_KINDS = ("none", "static_messaging", "letw")
+
+
+def _json(value) -> str:
+    """``value`` as JSON (``null``, ``true``, ``"x"``), else its ``repr``."""
+    try:
+        return json.dumps(value, allow_nan=False)
+    except (TypeError, ValueError):
+        return repr(value)
 
 
 def _from_doc(cls, doc: dict, what: str):
@@ -40,13 +49,15 @@ def _from_doc(cls, doc: dict, what: str):
             value = _from_doc(hint, value, name)
         elif type(value) not in json_types(hint):
             raise ValueError(
-                f"{what} field {name} must be {getattr(hint, '__name__', hint)}, got {value!r}"
+                f"{what} field {name} must be {getattr(hint, '__name__', hint)}, got {_json(value)}"
             )
         elif typing.get_origin(hint) is dict:  # JSON keys are strings; check the values
             of = typing.get_args(hint)[1]
             for k, v in value.items():
                 if type(v) not in json_types(of):
-                    raise ValueError(f"{what} field {name}[{k!r}] must be {of.__name__}, got {v!r}")
+                    raise ValueError(
+                        f"{what} field {name}[{k!r}] must be {of.__name__}, got {_json(v)}"
+                    )
         values[name] = value
     return cls(**values)
 
@@ -207,21 +218,16 @@ class QuantileModeRow:
 
 
 def quantile_mode_rows(
-    quantiles: Dict[str, float],
-    params: ModelParams,
-    ctx: Optional[ContextProfile] = None,
+    quantiles: Dict[str, float], params: ModelParams, ctx: ContextProfile
 ) -> List[QuantileModeRow]:
     """Map given latency quantiles through the budget rule and the
     conversion curve (model-implied, not observed, conversion)."""
-    ctx = ctx or ContextProfile()
-    rows = []
-    for name, latency in quantiles.items():
-        rows.append(
-            QuantileModeRow(
-                statistic=name,
-                latency_s=latency,
-                mode=decide_simple(latency, 0.0, params),
-                conversion=context_conversion(latency, ctx, params),
-            )
+    return [
+        QuantileModeRow(
+            statistic=name,
+            latency_s=latency,
+            mode=decide_simple(latency, 0.0, params),
+            conversion=context_conversion(latency, ctx, params),
         )
-    return rows
+        for name, latency in quantiles.items()
+    ]

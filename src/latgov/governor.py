@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .model import ModelParams, check_latency, perceived_latency, trust_score
 
@@ -183,6 +183,13 @@ def modes(
     codes[starts] = firsts
     transitions = int(np.count_nonzero(codes[1:] != codes[:-1])) + (int(codes[0]) != start.index)
     return codes, transitions
+
+
+def mode_shares(codes: np.ndarray) -> Dict[str, float]:
+    """Each mode's share of :func:`modes` codes, keyed by mode name in :data:`MODE_ORDER`."""
+    import numpy as np
+    counts = np.bincount(codes, minlength=len(MODE_ORDER)).tolist()
+    return {mode.value: count / len(codes) for mode, count in zip(MODE_ORDER, counts)}
 
 
 def step(

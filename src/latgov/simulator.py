@@ -37,7 +37,7 @@ from .config import (  # NumPy-free; callers may import these names from here to
     POLICY_KINDS, Mitigation, PolicySpec, QuantileModeRow, RailDistribution, SimConfig, SimResult,
     quantile_mode_rows,
 )
-from .governor import MODE_ORDER, GovernorState, Mode, modes, step
+from .governor import GovernorState, Mode, mode_shares, modes, step
 from .model import abandonment_hazard, context_conversion, perceived_latency, trust_score
 from .telemetry import ROLLING_BLOCK, WindowStats, nearest_rank, perceived_stream
 
@@ -196,15 +196,13 @@ def simulate_paths(cfg: SimConfig) -> SessionTrace:
 
 def summarize_trace(trace: SessionTrace) -> SimResult:
     n = len(trace)
-    counts = np.bincount(trace.mode, minlength=3)
-    shares = {m.value: float(counts[i]) / n for i, m in enumerate(MODE_ORDER)}
     ordered = np.sort(trace.latency_s)
     return SimResult(
         conversion_rate=float(np.count_nonzero(trace.converted)) / n,
         abandonment_rate=float(np.count_nonzero(trace.abandoned)) / n,
         repeat_rate=float(np.count_nonzero(trace.repeated)) / n,
         mean_trust=float(np.mean(trace.trust)),
-        mode_shares=shares,
+        mode_shares=mode_shares(trace.mode),
         latency_p50=nearest_rank(ordered, 0.50),
         latency_p90=nearest_rank(ordered, 0.90),
         latency_p99=nearest_rank(ordered, 0.99),

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import latgov
 from latgov.cli import main
 from latgov.governor import GovernorState, Reason, step
-from latgov.model import ContextProfile, ModelParams
+from latgov.model import ContextProfile, ModelParams, context_conversion
 from latgov.simulator import Mitigation, PolicySpec, RailDistribution, SimConfig, SimResult
 from latgov.telemetry import OPTIONAL_FIELDS, REQUIRED_FIELDS, SloConfig, reject_non_finite
 
@@ -259,6 +259,26 @@ class TestReplay:
         for line in lines:
             assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
 
+    def test_window_from_config_unless_flagged(self, tmp_path):
+        # A ramp whose modes follow the window: window 1 sees each latency alone.
+        telemetry = tmp_path / "t.jsonl"
+        write_telemetry(telemetry, [1.0] * 20 + [2.4, 3.5, 1.0, 2.4, 1.0, 3.5, 3.5, 1.0])
+        config = tmp_path / "cfg.json"
+        config.write_text('{"window_capacity": 1}')
+
+        def replay(*flags):
+            out = tmp_path / "d.jsonl"
+            code, stdout, stderr, _ = run_quietly(
+                ["replay", "--telemetry", str(telemetry), *flags, "--out", str(out)]
+            )
+            assert (code, stderr) == (0, "")
+            return stdout, out.read_bytes()
+
+        from_config = replay("--config", str(config))
+        assert from_config == replay("--window", "1")
+        assert from_config != replay()
+        assert replay("--config", str(config), "--window", "256") == replay()
+
 
 class TestReport:
     def test_quantile_mode_table(self, tmp_path, capsys):
@@ -312,6 +332,22 @@ class TestReport:
         assert main(["report", "--sim", str(sim)]) == 0
         assert [line for line in capsys.readouterr().out.splitlines() if "ALERT" in line] == alerts
 
+    def test_context_from_config(self, tmp_path, capsys):
+        telemetry = tmp_path / "t.jsonl"
+        write_telemetry(telemetry, [1.4] * 50 + [2.2] * 40 + [4.7] * 10)
+        config = tmp_path / "cfg.json"
+        config.write_text('{"ctx": {"m_c": 2.0}}')
+        out = tmp_path / "rows.json"
+        argv = ["report", "--telemetry", str(telemetry), "--config", str(config), "--out", str(out)]
+        assert main(argv) == 0
+        table = capsys.readouterr().out.splitlines()[2:5]
+        rows = json.loads(out.read_text())["rows"]
+        ctx, params = ContextProfile(m_c=2.0), ModelParams()
+        for line, row, latency in zip(table, rows, (1.4, 2.2, 4.7)):
+            assert row["conversion"] == context_conversion(latency, ctx, params)
+            assert line.split()[-1] == f"{row['conversion'] * 100:.1f}"
+        assert rows[0]["conversion"] != context_conversion(1.4, ContextProfile(), params)
+
     def test_requires_exactly_one_source(self, tmp_path):
         assert main(["report"]) == 2
         telemetry = tmp_path / "t.jsonl"
@@ -360,7 +396,8 @@ class TestSlo:
         telemetry = tmp_path / "t.jsonl"
         write_telemetry(telemetry, [0.8] * 5)
         assert main(["slo", "--telemetry", str(telemetry), "--window", "0"]) == 2
-        assert main(["replay", "--telemetry", str(telemetry), "--window", "0"]) == 2
+        code, _, stderr, _ = run_quietly(["replay", "--telemetry", str(telemetry), "--window", "0"])
+        assert (code, stderr) == (2, "error: window_capacity must be >= 1, got 0\n")
 
 
 class TestFit:
@@ -503,6 +540,7 @@ REPROS = {
             ("alpha_string", '{"params": {"alpha": "x"}}'),
             ("mu_log_string", '{"rail": {"mu_log": "x"}}'),
             ("sessions_true", '{"sessions": true}'),
+            ("alpha_null", '{"params": {"alpha": null}}'),
             *((f"policy_{kind}", '{"policy": %s}' % text)
               for text, (kind, _) in POLICY_NOT_AN_OBJECT.items()),
         )
@@ -555,6 +593,9 @@ USAGE_ERRORS = {
         for name in ("string", "null", "true")
     },
     "report_sim_mode_shares_bogus_key": "error: bad simulation output: mode_shares key 'bogus'",
+    "config_sessions_true": "error: simulation config field sessions must be int, got true\n",
+    "config_alpha_null": "error: params field alpha must be float, got null\n",
+    "config_alpha_string": 'error: params field alpha must be float, got "x"\n',
 }
 
 
@@ -806,8 +847,11 @@ sim_docs = st.builds(
     st.dictionaries(st.sampled_from(TOP_LEVEL), WILD, max_size=2),
     st.fixed_dictionaries({}, optional={k: wild_section(c) for k, c in SECTIONS.items()}),
 )
+# The sections replay, report and slo read.
 telemetry_docs = st.fixed_dictionaries(
-    {}, optional={"params": wild_section(ModelParams), "slo": wild_section(SloConfig)}
+    {},
+    optional={"params": wild_section(ModelParams), "ctx": wild_section(ContextProfile),
+              "window_capacity": WILD, "slo": wild_section(SloConfig)},
 )
 wild_events = st.lists(
     st.dictionaries(st.sampled_from(REQUIRED_FIELDS + OPTIONAL_FIELDS), WILD,

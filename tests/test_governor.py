@@ -15,6 +15,7 @@ from latgov.governor import (
     RolloutState,
     apply_slo_escalation,
     decide_simple,
+    mode_shares,
     modes,
     next_mode,
     rollout_guard,
@@ -278,6 +279,10 @@ class TestModes:
             codes += piece
             transitions += changes
         assert (codes, transitions) == step_fold(lps, start)
+
+    def test_mode_shares_name_every_mode(self):
+        codes, _ = modes([3.5, 3.5, 3.5, 3.5], PARAMS)  # soft, then deferred
+        assert mode_shares(codes) == {"instant": 0.0, "soft": 0.25, "deferred": 0.75}
 
 
 class TestSloEscalation:

@@ -9,7 +9,7 @@ import json
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latgov import telemetry
@@ -21,6 +21,7 @@ from latgov.telemetry import (
     SCHEMA,
     TelemetryError,
     TelemetrySchemaError,
+    _FIELD_TYPES,
     _valid_chunk,
     confirmation_latency,
     event_from_dict,
@@ -73,6 +74,33 @@ def assert_same_as_events(lines):
             assert [list(map(type, c)) for c in got] == [list(map(type, c)) for c in want]
 
 
+def near_misses():
+    """Per field, values that break one of its rules in the good event: one of
+    each JSON type the field does not take, one past each of its SCHEMA bounds,
+    and a string outside its SCHEMA values."""
+    misses = {
+        field: [v for v in ("x", 1, 0.5, True, None, [], {}) if type(v) not in types]
+        for field, types in _FIELD_TYPES.items()
+    }
+    for field, values, low, high, _ in SCHEMA:
+        if values is not None:
+            misses[field].append("x")
+        if low is not None:
+            misses[field].append((GOOD_EVENT[low] if isinstance(low, str) else low) - 1)
+        if high is not None:
+            misses[field].append(int(high) + 1)
+    return misses
+
+
+def with_near_misses(test):
+    """``test`` on one chunk per near miss, as explicit examples besides its
+    draws, which reach each of them too rarely."""
+    for field, values in near_misses().items():
+        for value in values:
+            test = example(docs=[GOOD_EVENT, {**GOOD_EVENT, field: value}])(test)
+    return test
+
+
 # A suspect document: the good event with one or two fields set to wild
 # values or removed (``...``), or a wild value in place of the object. A chunk
 # holds one, among good events, so it alone decides whether the chunk is good.
@@ -92,6 +120,7 @@ chunks = st.builds(
 class TestBulkCheck:
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(docs=chunks)
+    @with_near_misses
     def test_accepts_only_what_event_from_dict_accepts(self, docs):
         lines = [json.dumps(doc) for doc in docs]
         accepted = _valid_chunk(lines) is not None

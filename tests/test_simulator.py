@@ -155,6 +155,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown"):
             SimConfig.from_dict({"sessions": 10, "params": {"alfa": 2}})
 
+    def test_values_json_cannot_hold_keep_their_repr(self):
+        # From a Python caller; a --config document's values are named as JSON.
+        for doc, message in (
+            ({"seed": float("nan")}, "simulation config field seed must be int, got nan"),
+            ({"sessions": 2j}, "simulation config field sessions must be int, got 2j"),
+        ):
+            with pytest.raises(ValueError) as error:
+                SimConfig.from_dict(doc)
+            assert str(error.value) == message
+
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
@@ -473,7 +483,8 @@ class TestQuantileModeReport:
         assert by_name["p50"].latency_s == pytest.approx(1.4, abs=1e-9)
 
     def test_explicit_quantiles(self):
-        rows = quantile_mode_rows({"p50": 1.4, "p90": 2.2, "p99": 4.7}, ModelParams())
+        quantiles = {"p50": 1.4, "p90": 2.2, "p99": 4.7}
+        rows = quantile_mode_rows(quantiles, ModelParams(), ContextProfile())
         assert [r.mode for r in rows] == [Mode.INSTANT, Mode.SOFT, Mode.DEFERRED]
         assert rows[0].conversion == pytest.approx(sigmoid(1.95 - 0.45 * 1.4), abs=1e-12)
         assert rows[0].conversion == pytest.approx(0.789182, abs=1e-6)
