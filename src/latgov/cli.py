@@ -108,9 +108,10 @@ def _write_out(path: Optional[str], doc: dict) -> None:
 def _read_lines(path: str) -> TextIO:
     """Open telemetry for streaming, line by line; use it in a ``with`` block.
     A leading byte order mark is dropped; bytes that are not UTF-8 become
-    surrogates, which ``parse_event`` rejects per line."""
+    surrogates, which ``parse_event`` rejects per line. Lines end at ``\n``
+    only, as in JSON Lines: a bare ``\r`` is JSON whitespace inside a line."""
     try:
-        return open(path, "r", encoding="utf-8-sig", errors="surrogateescape")
+        return open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="\n")
     except OSError as exc:
         raise UsageError(f"cannot read telemetry {path}: {exc}") from exc
 

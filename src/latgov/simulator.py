@@ -7,15 +7,17 @@ produce a repeat engagement. This module owns variate layout, the array
 simulation, aggregation and the experiment drivers (burst and policy
 comparison); the scenario and result types are in :mod:`latgov.config`.
 Policies simulated together (``--policy all``, :func:`run_burst`) share one
-pass: one draw, one window pass, and one computation of trust, hazard and
-conversion probability; each policy adds only its modes, its hazard
-multipliers and its outcome comparisons.
+pass: one draw, one window pass, one computation of trust, hazard and
+conversion probability, and one summary pass (one sort, one mean trust); each
+policy adds only its modes, its hazard multipliers and its outcome comparisons.
 
 Determinism: a run is a pure function of ``(config, seed)``. All random
-variates are drawn up front from one seeded generator in four fixed lanes
-(latency normals, patience exponentials, conversion uniforms, repeat
-uniforms); session ``i`` always consumes slot ``i`` of each lane, so two
-policies compared under the same seed see identical per-session draws.
+variates come from one seeded generator in four lanes of one value per
+session, each drawn whole in a fixed order (latency normals, patience
+exponentials, conversion uniforms, repeat uniforms) when the pass first uses
+it (:func:`draw_variates`); session ``i`` always consumes slot ``i`` of each
+lane, so two policies compared under the same seed see identical per-session
+draws.
 
 Trust window: a session sees only earlier sessions, so session ``i`` perceives the
 :func:`telemetry.perceived_stream` window ending with session ``i - 1`` (one session
@@ -29,7 +31,7 @@ and only converted sessions can repeat.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -78,15 +80,13 @@ class SessionOutcome:
     repeated: bool
 
 
-def draw_variates(
-    rng: np.random.Generator, n: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four per-session variate lanes, in their fixed draw order."""
-    latency_z = rng.standard_normal(n)
-    patience = rng.standard_exponential(n)
-    u_convert = rng.random(n)
-    u_repeat = rng.random(n)
-    return latency_z, patience, u_convert, u_repeat
+def draw_variates(rng: np.random.Generator, n: int) -> Iterator[np.ndarray]:
+    """The four per-session variate lanes, in their fixed draw order; each is
+    drawn when the caller takes it, so a lane can be freed before the next."""
+    yield rng.standard_normal(n)
+    yield rng.standard_exponential(n)
+    yield rng.random(n)
+    yield rng.random(n)
 
 
 def simulate_session(
@@ -143,50 +143,63 @@ def _simulate_policies(cfg: SimConfig, kinds: Tuple[str, ...]) -> Dict[str, Sess
     The variate lanes, latencies, perceived latency, trust, hazard and conversion
     probability do not depend on the policy, so they are computed once. Each policy
     adds only its mode array (for ``letw``, :func:`governor.modes` over the whole
-    stream), the hazard multiplier and the outcome comparisons, done in blocks of
-    :data:`telemetry.ROLLING_BLOCK` sessions.
+    stream), the hazard multiplier and the outcome comparisons. Lanes are taken one
+    at a time: patience decides each policy's abandonment, and each uniform lane is
+    reduced to its policy-independent boolean (``u_convert < P_conv``,
+    ``u_repeat < engagement_ceiling * trust``) before the next is drawn. The work
+    on each lane runs in blocks of :data:`telemetry.ROLLING_BLOCK` sessions.
     """
     n = cfg.sessions
     params = cfg.params
-    rng = np.random.default_rng(cfg.seed)
-    latency_z, patience, u_convert, u_repeat = draw_variates(rng, n)
+    lanes = iter(draw_variates(np.random.default_rng(cfg.seed), n))
     with np.errstate(over="ignore"):  # checked below: no window holds the last latency
-        latencies = cfg.rail.latency(latency_z)
-    del latency_z
+        latencies = cfg.rail.latency(next(lanes))
     if not np.isfinite(latencies).all():
         raise ValueError("latencies overflow a float; lower the rail's mu_log, sigma_log or shift_s")
-    perceived = np.concatenate(  # one session late: see the module docstring
-        ([0.0], perceived_stream(latencies[:-1], cfg.window_capacity, params.k)))
+    perceived = np.empty(n)
+    perceived[:1] = 0.0  # one session late: see the module docstring
+    perceived_stream(latencies[:-1], cfg.window_capacity, params.k, out=perceived[1:])
 
     mode, transitions = {}, dict.fromkeys(kinds, 0)
     for kind in kinds:
         if kind == "letw":
             mode[kind], transitions[kind] = modes(perceived, params)
         elif kind == "static_messaging":
-            mode[kind] = (latencies > cfg.policy.static_threshold_s).astype(np.int8)
+            mode[kind] = (latencies > cfg.policy.static_threshold_s).view(np.int8)
         else:
             mode[kind] = np.zeros(n, dtype=np.int8)
-    trust = np.empty(n)
-    outcomes = {kind: [np.empty(n, dtype=np.bool_) for _ in range(3)] for kind in kinds}
+    blocks = [slice(start, start + ROLLING_BLOCK) for start in range(0, n, ROLLING_BLOCK)]
     multipliers = np.array(cfg.mitigation.multipliers)
-    for start in range(0, n, ROLLING_BLOCK):
-        b = slice(start, start + ROLLING_BLOCK)
-        lp = perceived[b]
-        trust[b] = trust_score(lp, params)
-        hazard = abandonment_hazard(lp, params)
-        convertible = u_convert[b] < context_conversion(lp, cfg.ctx, params)
-        engages = u_repeat[b] < cfg.engagement_ceiling * trust[b]
-        for kind in kinds:
-            abandoned, converted, repeated = outcomes[kind]
-            rate = multipliers[mode[kind][b]] * hazard
-            with np.errstate(divide="ignore", over="ignore"):  # a zero hazard never abandons
-                abandoned[b] = patience[b] / rate < latencies[b]
-            converted[b] = ~abandoned[b] & convertible
-            repeated[b] = converted[b] & engages
-    return {
-        kind: SessionTrace(latencies, perceived, trust, mode[kind], *outcomes[kind], transitions[kind])
-        for kind in kinds
-    }
+    trust = np.empty(n)
+    abandoned = {kind: np.empty(n, dtype=np.bool_) for kind in kinds}
+    lane = next(lanes)  # patience
+    with np.errstate(divide="ignore", over="ignore"):  # a zero hazard never abandons
+        for b in blocks:
+            lp = perceived[b]
+            trust[b] = trust_score(lp, params)
+            hazard = abandonment_hazard(lp, params)
+            for kind in kinds:
+                rate = multipliers[mode[kind][b]] * hazard
+                np.less(lane[b] / rate, latencies[b], out=abandoned[kind][b])
+    del lane
+    convertible = np.empty(n, dtype=np.bool_)
+    lane = next(lanes)
+    for b in blocks:
+        np.less(lane[b], context_conversion(perceived[b], cfg.ctx, params), out=convertible[b])
+    del lane
+    engages = np.empty(n, dtype=np.bool_)
+    lane = next(lanes)
+    for b in blocks:
+        np.less(lane[b], cfg.engagement_ceiling * trust[b], out=engages[b])
+    del lane
+    traces = {}
+    for kind in kinds:
+        converted = ~abandoned[kind] & convertible
+        traces[kind] = SessionTrace(
+            latencies, perceived, trust, mode[kind], abandoned[kind], converted,
+            converted & engages, transitions[kind],
+        )
+    return traces
 
 
 def simulate_paths(cfg: SimConfig) -> SessionTrace:
@@ -194,19 +207,33 @@ def simulate_paths(cfg: SimConfig) -> SessionTrace:
     return _simulate_policies(cfg, (cfg.policy.kind,))[cfg.policy.kind]
 
 
+def summarize_traces(traces: Sequence[SessionTrace]) -> List[SimResult]:
+    """The results of traces simulated in one pass, in order. Such traces share
+    ``latency_s`` and ``trust``, so the latency quantiles take one sort and the
+    mean trust one mean, both of the first trace's arrays."""
+    shared = traces[0]
+    n = len(shared)
+    ordered = np.sort(shared.latency_s)
+    p50, p90, p99 = (nearest_rank(ordered, q) for q in (0.50, 0.90, 0.99))
+    del ordered
+    mean_trust = float(np.mean(shared.trust))
+    return [
+        SimResult(
+            conversion_rate=float(np.count_nonzero(trace.converted)) / n,
+            abandonment_rate=float(np.count_nonzero(trace.abandoned)) / n,
+            repeat_rate=float(np.count_nonzero(trace.repeated)) / n,
+            mean_trust=mean_trust,
+            mode_shares=mode_shares(trace.mode),
+            latency_p50=p50,
+            latency_p90=p90,
+            latency_p99=p99,
+        )
+        for trace in traces
+    ]
+
+
 def summarize_trace(trace: SessionTrace) -> SimResult:
-    n = len(trace)
-    ordered = np.sort(trace.latency_s)
-    return SimResult(
-        conversion_rate=float(np.count_nonzero(trace.converted)) / n,
-        abandonment_rate=float(np.count_nonzero(trace.abandoned)) / n,
-        repeat_rate=float(np.count_nonzero(trace.repeated)) / n,
-        mean_trust=float(np.mean(trace.trust)),
-        mode_shares=mode_shares(trace.mode),
-        latency_p50=nearest_rank(ordered, 0.50),
-        latency_p90=nearest_rank(ordered, 0.90),
-        latency_p99=nearest_rank(ordered, 0.99),
-    )
+    return summarize_traces([trace])[0]
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:
@@ -217,13 +244,14 @@ def run_simulation(cfg: SimConfig) -> SimResult:
 def run_burst(base: SimConfig, burst_rail: RailDistribution) -> Tuple[SimResult, SimResult]:
     """Run the congested regime ungoverned and governed under the same seed."""
     traces = _simulate_policies(replace(base, rail=burst_rail), ("none", "letw"))
-    return summarize_trace(traces["none"]), summarize_trace(traces["letw"])
+    ungoverned, governed = summarize_traces([traces["none"], traces["letw"]])
+    return ungoverned, governed
 
 
 def compare_policies(cfg: SimConfig) -> Dict[str, SimResult]:
     """Run all three policies under the same seed; keyed by policy kind."""
     traces = _simulate_policies(cfg, POLICY_KINDS)
-    return {kind: summarize_trace(trace) for kind, trace in traces.items()}
+    return dict(zip(traces, summarize_traces(list(traces.values()))))
 
 
 def quantile_mode_report(cfg: SimConfig) -> List[QuantileModeRow]:

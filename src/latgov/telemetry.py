@@ -39,9 +39,8 @@ UX_MODES = tuple(m.value for m in Mode)
 
 DEFAULT_WINDOW_CAPACITY = 256
 
-# Values per pass of array work (rolling_mean_std's outputs, rounded to
-# whole windows; perceived_stream's; the simulator's sessions); passes
-# keep the temporaries small.
+# Values per pass of array work (the window's outputs, rounded to whole
+# windows; the simulator's sessions); passes keep the temporaries small.
 ROLLING_BLOCK = 4_096
 
 # Metric names used in SLO breach sets.
@@ -290,6 +289,10 @@ def _valid_chunk(lines: List[str]) -> Optional[Dict[str, Sequence]]:
     for field, types in _FIELD_TYPES.items():
         if not set(map(type, columns[field])) <= types:
             return None
+    # The intent_ts high bound and the confirm_ts low bound never refuse a chunk
+    # that another row would pass: with confirm_ts >= intent_ts, the other
+    # timestamp's bound implies each. They stay in SCHEMA because they fix which
+    # message event_from_dict gives first.
     for field, values, low, high, _ in SCHEMA:
         column = columns[field]
         if values is not None and not set(column) <= values:
@@ -397,6 +400,70 @@ def window_stats(values: Sequence[float]) -> WindowStats:
     )
 
 
+def _window_passes(x, window: int) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
+    """Yield ``(start, stop, mean, std)`` a pass at a time for :func:`rolling_mean_std`:
+    the arrays hold whole rows of ``window`` values, and their first ``stop - start``
+    values are the windows ending at ``x[start:stop]`` (the rest is padding)."""
+    import numpy as np
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    window = min(window, max(n, 1))  # a longer window sees the same values
+    n_head = np.arange(1.0, window + 1.0)  # by column: values in the window's own row
+    step = max(1, ROLLING_BLOCK // window) * window
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        lo = max(start - window, 0)  # a later pass rereads the row before for its tails
+        rows = x[lo:stop]
+        if rows.shape[0] % window:
+            rows = np.concatenate((rows, np.zeros(-rows.shape[0] % window)))
+        rows = rows.reshape(-1, window)
+        first = lo == start  # the first row: its windows are heads alone
+        # Heads, about each row's first value; a window at a row's end is all head.
+        own = rows[not first :]
+        dev = own - own[:, :1]
+        h1 = np.cumsum(dev, axis=1)
+        m2 = np.cumsum(np.square(dev, out=dev), axis=1)
+        mean = np.divide(h1, n_head)
+        mean += own[:, :1]
+        np.square(h1, out=h1)
+        h1 /= n_head
+        m2 -= h1
+        # Tails, about the last value of the row before, summed from its end
+        # back: reversed column c holds the last c + 1 values.
+        prev = rows[:-1, ::-1]
+        dev = prev[:, :-1] - prev[:, :1]
+        t1 = np.cumsum(dev, axis=1)
+        t2 = np.cumsum(np.square(dev, out=dev), axis=1)
+        mean_tail = np.divide(t1, n_head[:-1])
+        mean_tail += prev[:, :1]
+        np.square(t1, out=t1)
+        t1 /= n_head[:-1]
+        t2 -= t1
+        # Merge each window of a later row, but the row's last, with its tail
+        # (n_tail from window - 1 down to 1): m2 += m2_tail + delta**2 * n_head *
+        # n_tail / window and mean = mean_tail + delta * n_head / window, in
+        # that order of operations, which fixes the last bits.
+        full = slice(first, None), slice(None, -1)
+        mean_tail = mean_tail[:, ::-1]
+        delta = mean[full] - mean_tail
+        m2[full] += t2[:, ::-1]
+        t2 = np.square(delta, out=t2[:, ::-1])
+        t2 *= n_head[:-1]
+        t2 *= n_head[-2::-1]
+        t2 /= window
+        m2[full] += t2
+        delta *= n_head[:-1]
+        delta /= window
+        np.add(mean_tail, delta, out=mean[full])
+        np.maximum(m2, 0.0, out=m2)
+        if first:
+            m2[0] /= np.maximum(n_head - 1.0, 1.0)
+        m2[first:] /= max(window - 1, 1)
+        yield start, stop, mean, np.sqrt(m2, out=m2)
+
+
 def rolling_mean_std(x, window: int) -> Tuple[np.ndarray, np.ndarray]:
     """Mean and sample std (n-1) of the last ``window`` values at every index.
 
@@ -405,70 +472,38 @@ def rolling_mean_std(x, window: int) -> Tuple[np.ndarray, np.ndarray]:
     (The simulator reads it one index late; see :mod:`latgov.simulator`.)
 
     The values are cut into rows of ``window`` values, so every window is the
-    head of one row, up to x[i], plus the tail of the row before, possibly
-    empty. Running sums over each row give every head (about the row's first
-    value) and every tail (about its last value); the two parts are then
-    merged with the pairwise update of Chan, Golub & LeVeque (1979). Each sum
-    runs over at most ``window`` values about a value of its own part, so
-    precision does not depend on the length of ``x``, on a latency shift, or
-    on how small the window's spread is next to the data's.
+    head of one row, up to x[i], plus the tail of the row before, empty at a
+    row's end and in the first row. Running sums over each row give every head
+    (about the row's first value) and every tail (about its last value); the
+    two parts are then merged with the pairwise update of Chan, Golub &
+    LeVeque (1979). Each sum runs over at most ``window`` values about a value
+    of its own part, so precision does not depend on the length of ``x``, on a
+    latency shift, or on how small the window's spread is next to the data's.
     """
     import numpy as np
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    mean, std = np.empty(n), np.empty(n)
-    window = min(window, max(n, 1))  # a longer window sees the same values
-    block = max(1, ROLLING_BLOCK // window) * window
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        lo = max(0, start + 1 - window) // window * window  # a row boundary
-        last = np.arange(start, stop) - lo  # each window's last value, from lo
-        flat = np.zeros(-(-(stop - lo) // window) * window)
-        flat[: stop - lo] = x[lo:stop]
-        rows = flat.reshape(-1, window)
-        dev = rows - rows[:, :1]
-        h1 = np.cumsum(dev, axis=1).ravel()[last]
-        h2 = np.cumsum(dev * dev, axis=1).ravel()[last]
-        dev = rows[:, ::-1] - rows[:, -1:]
-        tail1 = np.cumsum(dev, axis=1)[:, ::-1].ravel()
-        tail2 = np.cumsum(dev * dev, axis=1)[:, ::-1].ravel()
-
-        # Head: the window's values in its last row, [last + 1 - n_head, last];
-        # tail: the rest, [last + 1 - window, last + 1 - n_head), in the row before.
-        n_head = last % window + 1
-        n_tail = np.where(last >= window, window - n_head, 0)
-        count = n_head + n_tail
-        mean_head = flat[last + 1 - n_head] + h1 / n_head
-        r1 = np.where(n_tail > 0, tail1[last + 1 - window], 0.0)  # no tail: a stray index, masked
-        r2 = np.where(n_tail > 0, tail2[last + 1 - window], 0.0)
-        mean_tail = flat[last - n_head] + r1 / np.maximum(n_tail, 1)
-
-        delta = np.where(n_tail > 0, mean_head - mean_tail, 0.0)
-        m2 = (
-            (h2 - h1 * h1 / n_head)
-            + (r2 - r1 * r1 / np.maximum(n_tail, 1))
-            + delta * delta * n_head * n_tail / count
-        )
-        mean[start:stop] = np.where(n_tail > 0, mean_tail + delta * n_head / count, mean_head)
-        var = np.maximum(m2, 0.0) / np.maximum(count - 1, 1)
-        std[start:stop] = np.where(count > 1, np.sqrt(var), 0.0)
+    mean, std = np.empty(x.shape[0]), np.empty(x.shape[0])
+    for start, stop, m, s in _window_passes(x, window):
+        mean[start:stop] = m.ravel()[: stop - start]
+        std[start:stop] = s.ravel()[: stop - start]
     return mean, std
 
 
-def perceived_stream(latencies, window: int, k: float) -> np.ndarray:
+def perceived_stream(latencies, window: int, k: float, out=None) -> np.ndarray:
     """:func:`model.perceived_latency` over the :func:`rolling_mean_std` window
-    ending at every index; raises ``ValueError`` where it overflows a float."""
+    ending at every index, written into ``out`` when given; raises
+    ``ValueError`` where it overflows a float."""
     import numpy as np
+    latencies = np.asarray(latencies, dtype=np.float64)
+    if out is None:
+        out = np.empty(latencies.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are rejected below
-        perceived, std = rolling_mean_std(latencies, window)
-        for start in range(0, perceived.shape[0], ROLLING_BLOCK):
-            b = slice(start, start + ROLLING_BLOCK)
-            perceived[b] = perceived_latency(perceived[b], std[b], k)
-    if not np.isfinite(perceived).all():
-        raise ValueError("perceived latency overflows a float; lower params.k or the latencies")
-    return perceived
+        for start, stop, mean, std in _window_passes(latencies, window):
+            got = perceived_latency(mean, std, k).ravel()[: stop - start]
+            if not np.isfinite(got).all():
+                raise ValueError("perceived latency overflows a float; lower params.k or the latencies")
+            out[start:stop] = got
+    return out
 
 
 class LatencyWindow:

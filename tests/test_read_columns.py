@@ -192,6 +192,10 @@ EDGE_CASES = {
     "float_for_confirm_ts": {28: good(28, confirm_ts=1028.0)},
     "negative_rtt": {29: good(29, media_rtt_ms=-0.5)},
     "jitter_past_float_max": {30: good(30, media_jitter_ms=10**400)},
+    # A bare \r is JSON whitespace, not a line end: the line is one event, and
+    # the lines after it keep their numbers.
+    "bare_cr_in_a_line": {31: good(31).replace(",", ",\r", 1)},
+    "bare_cr_then_a_bad_line": {31: good(31).replace(",", ",\r", 1), 33: "{broken"},
 }
 # SCHEMA index -> the EDGE_CASES case whose one bad line breaks that row first.
 SCHEMA_ROW_CASES = {
@@ -252,6 +256,18 @@ class TestReadColumns:
             with pytest.raises(TelemetrySchemaError) as error:
                 parse_event(line)
             assert str(error.value).startswith(message.split("{value")[0].format(field=field))
+
+    @pytest.mark.parametrize("skip_bad", [False, True])
+    def test_bare_cr_line_ends_read_as_one_line(self, tmp_path, skip_bad):
+        path = tmp_path / "cr.jsonl"
+        path.write_bytes("\r".join(chunk_lines({}, 3)).encode() + b"\r")
+        code, stdout, stderr, _ = run_quietly(
+            ["replay", "--telemetry", str(path), *(["--skip-bad"] if skip_bad else [])]
+        )
+        if skip_bad:
+            assert (code, stderr) == (1, "error: no telemetry events\n")
+        else:
+            assert code == 2 and stderr.startswith("error: line 1: "), stderr
 
     @pytest.mark.parametrize("bad_lines", [1, 3, READ_CHUNK + 2])
     def test_skip_bad_drop_counts(self, bad_lines):

@@ -19,6 +19,7 @@ from latgov.simulator import (
     SimConfig,
     SimResult,
     compare_policies,
+    draw_variates,
     quantile_mode_report,
     quantile_mode_rows,
     run_burst,
@@ -407,6 +408,16 @@ def test_sessions_read_the_window_one_session_late(sessions, window):
     assert trace.perceived_s[0] == 0.0
     want = perceived_stream(trace.latency_s[:-1], window, ModelParams().k)
     assert np.array_equal(trace.perceived_s[1:], want)
+
+
+def test_lanes_are_drawn_in_order_each_when_taken():
+    rng, fresh = np.random.default_rng(8), np.random.default_rng(8)
+    lanes = draw_variates(rng, 1000)
+    assert rng.bit_generator.state == fresh.bit_generator.state  # nothing drawn yet
+    for draw in (fresh.standard_normal, fresh.standard_exponential, fresh.random, fresh.random):
+        assert np.array_equal(next(lanes), draw(1000))
+        assert rng.bit_generator.state == fresh.bit_generator.state  # one lane at a time
+    assert next(lanes, None) is None
 
 
 def test_overflow_in_the_last_latency_is_rejected(monkeypatch):

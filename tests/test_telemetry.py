@@ -387,6 +387,21 @@ class TestRollingMeanStd:
         assert_rolling_matches_oracle(x, window, replay, range(len(x)))
 
     @pytest.mark.parametrize("replay", [True, False])
+    @pytest.mark.parametrize("window", [1, 3, 256, ROLLING_BLOCK, ROLLING_BLOCK + 1])
+    def test_row_and_pass_edges_match_fsum_oracle(self, window, replay):
+        """Lengths that end on either side of a row or a pass, read at every index
+        next to a row's or a pass's edge (and a sample between)."""
+        step = max(1, ROLLING_BLOCK // window) * window  # values per pass
+        rng = np.random.default_rng(window)
+        sizes = {window - 1, window, window + 1, ROLLING_BLOCK - 1, ROLLING_BLOCK, ROLLING_BLOCK + 1,
+                 2 * ROLLING_BLOCK}
+        for n in sorted(sizes - {0}):
+            x = rng.lognormal(np.log(1.4), 0.6, size=n)
+            edges = {*range(0, n + 1, window), *range(0, n + 1, step), n}
+            indexes = {e + d for e in edges for d in (-2, -1, 0, 1)} | set(range(0, n, 97))
+            assert_rolling_matches_oracle(x, window, replay, sorted(i for i in indexes if 0 <= i < n))
+
+    @pytest.mark.parametrize("replay", [True, False])
     def test_fewer_values_than_window(self, replay):
         x = np.array([1.0, 4.0, 2.5, 0.5])
         for window in (10, 10**12):
@@ -427,6 +442,13 @@ class TestPerceivedStream:
         mean, std = read_as(replay, rolling_mean_std, x, window)
         want = perceived_latency(mean, std, 0.8)
         assert np.array_equal(read_as(replay, perceived_stream, x, window, 0.8), want)
+
+    def test_writes_into_out(self):
+        x = np.random.default_rng(2).lognormal(np.log(1.4), 0.6, size=ROLLING_BLOCK + 5)
+        out = np.full(len(x) + 1, -1.0)
+        assert perceived_stream(x, 16, 0.8, out=out[1:]).base is out
+        assert out[0] == -1.0
+        assert np.array_equal(out[1:], perceived_stream(x, 16, 0.8))
 
     def test_overflow_is_a_value_error_without_a_warning(self):
         with warnings.catch_warnings():
