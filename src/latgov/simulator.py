@@ -207,7 +207,7 @@ def simulate_paths(cfg: SimConfig) -> SessionTrace:
     return _simulate_policies(cfg, (cfg.policy.kind,))[cfg.policy.kind]
 
 
-def summarize_traces(traces: Sequence[SessionTrace]) -> List[SimResult]:
+def _summarize_pass(traces: Sequence[SessionTrace]) -> List[SimResult]:
     """The results of traces simulated in one pass, in order. Such traces share
     ``latency_s`` and ``trust``, so the latency quantiles take one sort and the
     mean trust one mean, both of the first trace's arrays."""
@@ -233,7 +233,7 @@ def summarize_traces(traces: Sequence[SessionTrace]) -> List[SimResult]:
 
 
 def summarize_trace(trace: SessionTrace) -> SimResult:
-    return summarize_traces([trace])[0]
+    return _summarize_pass([trace])[0]
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:
@@ -244,14 +244,14 @@ def run_simulation(cfg: SimConfig) -> SimResult:
 def run_burst(base: SimConfig, burst_rail: RailDistribution) -> Tuple[SimResult, SimResult]:
     """Run the congested regime ungoverned and governed under the same seed."""
     traces = _simulate_policies(replace(base, rail=burst_rail), ("none", "letw"))
-    ungoverned, governed = summarize_traces([traces["none"], traces["letw"]])
+    ungoverned, governed = _summarize_pass([traces["none"], traces["letw"]])
     return ungoverned, governed
 
 
 def compare_policies(cfg: SimConfig) -> Dict[str, SimResult]:
     """Run all three policies under the same seed; keyed by policy kind."""
     traces = _simulate_policies(cfg, POLICY_KINDS)
-    return dict(zip(traces, summarize_traces(list(traces.values()))))
+    return dict(zip(traces, _summarize_pass(list(traces.values()))))
 
 
 def quantile_mode_report(cfg: SimConfig) -> List[QuantileModeRow]:
