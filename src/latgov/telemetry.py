@@ -419,9 +419,10 @@ def _window_passes(x, window: int) -> Iterator[Tuple[int, int, np.ndarray, np.nd
         if rows.shape[0] % window:
             rows = np.concatenate((rows, np.zeros(-rows.shape[0] % window)))
         rows = rows.reshape(-1, window)
-        first = lo == start  # the first row: its windows are heads alone
-        # Heads, about each row's first value; a window at a row's end is all head.
-        own = rows[not first :]
+        first = lo == start  # else rows[0] is the row before, read for its tails
+        # Heads, about each row's first value; a window at a row's end, and
+        # every window of the first row, is all head.
+        own = rows if first else rows[1:]
         dev = own - own[:, :1]
         h1 = np.cumsum(dev, axis=1)
         m2 = np.cumsum(np.square(dev, out=dev), axis=1)
@@ -445,7 +446,7 @@ def _window_passes(x, window: int) -> Iterator[Tuple[int, int, np.ndarray, np.nd
         # (n_tail from window - 1 down to 1): m2 += m2_tail + delta**2 * n_head *
         # n_tail / window and mean = mean_tail + delta * n_head / window, in
         # that order of operations, which fixes the last bits.
-        full = slice(first, None), slice(None, -1)
+        full = slice(1 if first else 0, None), slice(None, -1)
         mean_tail = mean_tail[:, ::-1]
         delta = mean[full] - mean_tail
         m2[full] += t2[:, ::-1]
@@ -458,9 +459,11 @@ def _window_passes(x, window: int) -> Iterator[Tuple[int, int, np.ndarray, np.nd
         delta /= window
         np.add(mean_tail, delta, out=mean[full])
         np.maximum(m2, 0.0, out=m2)
-        if first:
+        if first:  # the first row's windows hold 1 to `window` values
             m2[0] /= np.maximum(n_head - 1.0, 1.0)
-        m2[first:] /= max(window - 1, 1)
+            m2[1:] /= max(window - 1, 1)
+        else:
+            m2 /= max(window - 1, 1)
         yield start, stop, mean, np.sqrt(m2, out=m2)
 
 
