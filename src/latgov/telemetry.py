@@ -459,11 +459,14 @@ def _window_passes(x, window: int) -> Iterator[Tuple[int, int, np.ndarray, np.nd
         delta /= window
         np.add(mean_tail, delta, out=mean[full])
         np.maximum(m2, 0.0, out=m2)
-        if first:  # the first row's windows hold 1 to `window` values
-            m2[0] /= np.maximum(n_head - 1.0, 1.0)
-            m2[1:] /= max(window - 1, 1)
+        if window == 1:  # one-value windows read std 0, a non-finite value too
+            m2.fill(0.0)
+        elif first:  # the first row's windows hold 1 to `window` values
+            m2[0, 0] = 0.0
+            m2[0, 1:] /= n_head[:-1]
+            m2[1:] /= window - 1
         else:
-            m2 /= max(window - 1, 1)
+            m2 /= window - 1
         yield start, stop, mean, np.sqrt(m2, out=m2)
 
 

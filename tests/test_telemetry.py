@@ -421,6 +421,13 @@ class TestRollingMeanStd:
         assert mean.tolist() == [0.0, 1.0, 1.5, 2.5]
         assert std[:2].tolist() == [0.0, 0.0]
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_one_value_windows_read_std_0_for_a_non_finite_value(self, value):
+        x = np.array([value, 1.0, 2.0])
+        with np.errstate(invalid="ignore"):
+            assert rolling_mean_std(x, 1)[1].tolist() == [0.0, 0.0, 0.0]
+            assert rolling_mean_std(x, 3)[1][0] == 0.0
+
     def test_stable_at_a_million_values_under_a_large_shift(self):
         x = 1000.0 + np.random.default_rng(1).lognormal(np.log(1.4), 0.52, size=1_000_000)
         indexes = [*range(0, len(x), 997), *range(len(x) - 300, len(x))]

@@ -1,15 +1,20 @@
 """Alternating parent/change pairs of perfbench runs, summarised as a BENCH_*.json file.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --pairs 10 --seconds 35 --seed 3 \
-        --out BENCH_17.json [--workload W ...] [--note TEXT] [--workdir DIR]
+    python3 tools/bench_pairs.py PARENT CHANGE [--pairs 10] [--seed 3] \
+        [--workload W ...] --out BENCH_17.json
 
 Each commit is run from its own ``git archive`` in a temporary directory, with
 the unmodified ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` of its own tree. Pair i runs the parent first when i is even and the
-change first otherwise. For each workload and end-to-end metric of
-``BENCHMARK.json`` the file holds each side's median, quartiles and runs (in pair
-order), and how many pairs the change won and the change of the medians in
-percent. The file is rewritten after every workload, so a cut run keeps what it
+--trace 0`` of its own tree, T being ``run_seconds`` of ``BENCHMARK.json``. Pair
+i runs the parent first when i is even and the change first otherwise. For each
+workload and end-to-end metric of ``BENCHMARK.json`` the file holds each side's
+median, quartiles and runs (in pair order), and how many pairs the change won
+and the change of the medians in percent.
+
+An existing ``--out`` of the same two commits is added to, not replaced: the
+file's first seed keeps its workloads under ``workloads``, another seed's go
+under ``other_seeds``, and ``commands`` lists every invocation that wrote the
+file. The file is rewritten after every workload, so a cut run keeps what it
 finished.
 """
 
@@ -84,50 +89,59 @@ def main(argv=None) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=35)
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--workload", action="append", help="default: every workload of BENCHMARK.json")
     parser.add_argument("--out", required=True)
-    parser.add_argument("--note", default="")
-    parser.add_argument("--workdir", help="where the trees are extracted; default: the system's temp")
     args = parser.parse_args(argv)
 
     benchmark = json.loads(Path("BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
     shas = {name: git("rev-parse", rev) for name, rev in (("parent", args.parent), ("change", args.change))}
-    numpy_version = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
-                                   capture_output=True, text=True).stdout.strip()
-    doc = {
-        "what": (f"Medians and quartiles of unmodified `python3 perfbench/run.py --workload W --seed "
-                 f"{args.seed} --seconds {args.seconds:g} --trace 0`, {args.pairs} pairs per workload, "
-                 "parent and change alternating which runs first; each tree run from a `git archive` "
-                 "of its commit; runs listed in pair order."),
-        "command": "python3 tools/bench_pairs.py " + " ".join(argv if argv is not None else sys.argv[1:]),
-        "parent_sha": shas["parent"],
-        "change_sha": shas["change"],
-        "change_note": args.note,
-        "python": platform.python_version(),
-        "numpy": numpy_version,
-        "nproc": os.cpu_count(),
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "workloads": {},
-    }
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_", dir=args.workdir) as root:
+    command = "python3 tools/bench_pairs.py " + " ".join(argv if argv is not None else sys.argv[1:])
+    out = Path(args.out)
+    if out.exists():
+        doc = json.loads(out.read_text())
+        if (doc["parent_sha"], doc["change_sha"]) != (shas["parent"], shas["change"]):
+            raise SystemExit(f"{out} holds other commits; name a new --out")
+        doc["commands"].append(command)
+    else:
+        numpy_version = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
+                                       capture_output=True, text=True).stdout.strip()
+        doc = {
+            "what": ("Medians and quartiles of unmodified `python3 perfbench/run.py --workload W --seed "
+                     f"S --seconds {seconds:g} --trace 0`, parent and change alternating which runs "
+                     "first in each pair; each tree run from a `git archive` of its commit; runs "
+                     "listed in pair order."),
+            "commands": [command],
+            "parent_sha": shas["parent"],
+            "change_sha": shas["change"],
+            "python": platform.python_version(),
+            "numpy": numpy_version,
+            "nproc": os.cpu_count(),
+            "seed": args.seed,
+            "seconds": seconds,
+            "workloads": {},
+        }
+    if args.seed == doc["seed"]:
+        done = doc["workloads"]
+    else:
+        done = doc.setdefault("other_seeds", {}).setdefault(str(args.seed), {})
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as root:
         trees = {name: export(sha, Path(root)) for name, sha in shas.items()}
         for workload in workloads:
             results = {"parent": [], "change": []}
             for i in range(args.pairs):
                 for name in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    results[name].append(run(trees[name], workload, args.seed, args.seconds))
+                    results[name].append(run(trees[name], workload, args.seed, seconds))
                 print(f"{workload} pair {i + 1}/{args.pairs}", file=sys.stderr, flush=True)
-            doc["workloads"][workload] = {
+            done[workload] = {
                 "parent": side(results["parent"], metrics),
                 "change": side(results["change"], metrics),
                 "pairs": pairs(results["parent"], results["change"], metrics),
             }
-            Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+            out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 
