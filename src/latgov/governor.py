@@ -186,10 +186,13 @@ def modes(
 
 
 def mode_shares(codes: np.ndarray) -> Dict[str, float]:
-    """Each mode's share of :func:`modes` codes, keyed by mode name in :data:`MODE_ORDER`."""
+    """Each mode's share of :func:`modes` codes, keyed by mode name in :data:`MODE_ORDER`.
+    Counts compare the codes in their own dtype, so no wider copy of them is made."""
     import numpy as np
-    counts = np.bincount(codes, minlength=len(MODE_ORDER)).tolist()
-    return {mode.value: count / len(codes) for mode, count in zip(MODE_ORDER, counts)}
+    return {
+        mode.value: int(np.count_nonzero(codes == i)) / len(codes)
+        for i, mode in enumerate(MODE_ORDER)
+    }
 
 
 def step(

@@ -41,7 +41,7 @@ def sigmoid(x):
     """
     if (np := numpy_for(x)) is not None:
         z = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) where x < 0
-        return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+        return np.where(x >= 0.0, 1.0, z) / (1.0 + z)
     if x >= 0.0:
         return 1.0 / (1.0 + math.exp(-x))
     z = math.exp(x)
@@ -256,8 +256,10 @@ def latency_utility(
 def context_conversion(latency, ctx: ContextProfile, params: ModelParams):
     """Conversion with the context multiplier applied to latency sensitivity;
     float (non-negative) or array (elementwise, unchecked)."""
-    lat = check_latency(latency) if numpy_for(latency) is None else latency
-    return sigmoid(params.alpha - params.beta * ctx.m_c * lat)
+    if (np := numpy_for(latency)) is not None:
+        with np.errstate(over="ignore"):  # the sigmoid of -inf is exactly 0
+            return sigmoid(params.alpha - params.beta * ctx.m_c * latency)
+    return sigmoid(params.alpha - params.beta * ctx.m_c * check_latency(latency))
 
 
 def effective_budget(params: ModelParams, ctx: ContextProfile) -> float:

@@ -8,8 +8,10 @@ simulation, aggregation and the experiment drivers (burst and policy
 comparison); the scenario and result types are in :mod:`latgov.config`.
 Policies simulated together (``--policy all``, :func:`run_burst`) share one
 pass: one draw, one window pass, one computation of trust, hazard and
-conversion probability, and one summary pass (one sort, one mean trust); each
-policy adds only its modes, its hazard multipliers and its outcome comparisons.
+conversion probability, one sort of the latencies for their quantiles (taken
+as soon as they are drawn, before the later arrays exist) and one mean trust;
+each policy adds only its modes, its hazard multipliers and its outcome
+comparisons.
 
 Determinism: a run is a pure function of ``(config, seed)``. All random
 variates come from one seeded generator in four lanes of one value per
@@ -52,6 +54,7 @@ class SessionTrace:
 
     Traces of policies simulated in one pass share their ``latency_s``,
     ``perceived_s`` and ``trust`` arrays: these do not depend on the policy.
+    ``latency_quantiles`` holds the nearest-rank p50, p90 and p99 of ``latency_s``.
     """
 
     latency_s: np.ndarray
@@ -62,6 +65,7 @@ class SessionTrace:
     converted: np.ndarray
     repeated: np.ndarray
     governor_transitions: int
+    latency_quantiles: Tuple[float, float, float]
 
     def __len__(self) -> int:
         return int(self.latency_s.shape[0])
@@ -147,7 +151,9 @@ def _simulate_policies(cfg: SimConfig, kinds: Tuple[str, ...]) -> Dict[str, Sess
     at a time: patience decides each policy's abandonment, and each uniform lane is
     reduced to its policy-independent boolean (``u_convert < P_conv``,
     ``u_repeat < engagement_ceiling * trust``) before the next is drawn. The work
-    on each lane runs in blocks of :data:`telemetry.ROLLING_BLOCK` sessions.
+    on each lane runs in blocks of :data:`telemetry.ROLLING_BLOCK` sessions. The
+    latency quantiles are taken right after the draw, so their sort's copy is freed
+    before perceived latency, trust and the later lanes are allocated.
     """
     n = cfg.sessions
     params = cfg.params
@@ -156,6 +162,9 @@ def _simulate_policies(cfg: SimConfig, kinds: Tuple[str, ...]) -> Dict[str, Sess
         latencies = cfg.rail.latency(next(lanes))
     if not np.isfinite(latencies).all():
         raise ValueError("latencies overflow a float; lower the rail's mu_log, sigma_log or shift_s")
+    ordered = np.sort(latencies)
+    quantiles = tuple(nearest_rank(ordered, q) for q in (0.50, 0.90, 0.99))
+    del ordered
     perceived = np.empty(n)
     perceived[:1] = 0.0  # one session late: see the module docstring
     perceived_stream(latencies[:-1], cfg.window_capacity, params.k, out=perceived[1:])
@@ -197,7 +206,7 @@ def _simulate_policies(cfg: SimConfig, kinds: Tuple[str, ...]) -> Dict[str, Sess
         converted = ~abandoned[kind] & convertible
         traces[kind] = SessionTrace(
             latencies, perceived, trust, mode[kind], abandoned[kind], converted,
-            converted & engages, transitions[kind],
+            converted & engages, transitions[kind], quantiles,
         )
     return traces
 
@@ -209,13 +218,12 @@ def simulate_paths(cfg: SimConfig) -> SessionTrace:
 
 def _summarize_pass(traces: Sequence[SessionTrace]) -> List[SimResult]:
     """The results of traces simulated in one pass, in order. Such traces share
-    ``latency_s`` and ``trust``, so the latency quantiles take one sort and the
-    mean trust one mean, both of the first trace's arrays."""
+    ``latency_s``, ``trust`` and ``latency_quantiles``: the quantiles, taken in
+    the pass, are read from the first trace, and the mean trust is one mean of its
+    ``trust``, so no whole-length copy is made here."""
     shared = traces[0]
     n = len(shared)
-    ordered = np.sort(shared.latency_s)
-    p50, p90, p99 = (nearest_rank(ordered, q) for q in (0.50, 0.90, 0.99))
-    del ordered
+    p50, p90, p99 = shared.latency_quantiles
     mean_trust = float(np.mean(shared.trust))
     return [
         SimResult(

@@ -805,6 +805,7 @@ class TestConfigFile:
 # Accepted configs whose arithmetic overflows to +-inf or divides by zero
 # where that limit is the right answer.
 EXTREME_CONFIGS = {
+    "beta_1e308": {"params": {"beta": 1e308}},
     "k_1e308": {"params": {"k": 1e308}},
     "lambda0_5e-324": {"params": {"lambda0": 5e-324}},
     "rho_5e-324": {"mitigation": {"rho_soft": 5e-324, "rho_deferred": 5e-324}},
@@ -870,9 +871,10 @@ class TestCliFuzz:
         tmp = tmp_path_factory.mktemp("fuzz")
         (tmp / "cfg.json").write_text(json.dumps(doc))
         out = tmp / "out.json"
-        code, *_ = run_quietly(["simulate", "--config", str(tmp / "cfg.json"), "--policy",
-                                policy, "--out", str(out)])
+        code, _, _, runtime = run_quietly(["simulate", "--config", str(tmp / "cfg.json"),
+                                           "--policy", policy, "--out", str(out)])
         assert code in (0, 1, 2, 3)
+        assert not runtime, [str(w.message) for w in runtime]
         assert_no_non_finite(out)
 
     @settings(derandomize=True, max_examples=120, deadline=None)
@@ -890,6 +892,7 @@ class TestCliFuzz:
         out = tmp / ("out.jsonl" if command == "replay" else "out.json")
         argv = [command, "--config", str(tmp / "cfg.json"), "--telemetry", str(tmp / "t.jsonl"),
                 "--out", str(out)] + (["--skip-bad"] if skip_bad else [])
-        code, *_ = run_quietly(argv)
+        code, _, _, runtime = run_quietly(argv)
         assert code in (0, 1, 2, 3)
+        assert not runtime, [str(w.message) for w in runtime]
         assert_no_non_finite(out)

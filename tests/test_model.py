@@ -266,6 +266,15 @@ class TestSigmoid:
         assert got.tolist() == pytest.approx([sigmoid(float(v)) for v in x], rel=1e-15)
         assert got[0] == 0.0 and got[-1] == 1.0
 
+    def test_array_is_bit_identical_to_the_two_division_form(self):
+        x = np.concatenate([
+            np.random.default_rng(5).standard_normal(200_000) * 40.0,
+            [np.inf, -np.inf, 0.0, -0.0, np.nan, 745.0, -745.0, 1e308, -1e308],
+        ])
+        z = np.exp(-np.abs(x))
+        want = np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+        assert sigmoid(x).tobytes() == want.tobytes()
+
 
 class TestTrustScore:
     def test_half_at_budget(self):

@@ -2,6 +2,7 @@
 monotonicity, direction checks, and the analytic closed-form cross-check."""
 
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 
@@ -28,7 +29,7 @@ from latgov.simulator import (
     simulate_session,
     summarize_trace,
 )
-from latgov.telemetry import ROLLING_BLOCK, WindowStats, perceived_stream
+from latgov.telemetry import ROLLING_BLOCK, WindowStats, nearest_rank, perceived_stream
 
 Z90 = 1.2815515655446004
 Z99 = 2.3263478740408408
@@ -482,6 +483,41 @@ def test_policies_share_one_draw_and_one_window_pass(monkeypatch):
     calls.clear()
     run_burst(cfg, BURST_RAIL)
     assert calls == {"draw_variates": 1, "perceived_stream": 1}
+
+
+
+def sorted_quantiles(latencies):
+    ordered = np.sort(latencies)
+    return tuple(nearest_rank(ordered, q) for q in (0.50, 0.90, 0.99))
+
+
+@pytest.mark.parametrize("sessions", [1, 2, ROLLING_BLOCK + 7])
+def test_carried_quantiles_are_nearest_rank_of_the_sorted_latencies(sessions):
+    cfg = SimConfig(sessions=sessions, seed=29, rail=NEAR_BUDGET_RAIL)
+    trace = simulate_paths(cfg)
+    want = sorted_quantiles(trace.latency_s)
+    assert trace.latency_quantiles == want
+    assert all(type(q) is float for q in trace.latency_quantiles)
+    burst = simulate_paths(with_policy(replace(cfg, rail=BURST_RAIL), "none"))
+    results = [*compare_policies(cfg).values(), *run_burst(cfg, BURST_RAIL)]
+    wants = [want] * len(POLICY_KINDS) + [sorted_quantiles(burst.latency_s)] * 2
+    for result, quantiles in zip(results, wants):
+        assert (result.latency_p50, result.latency_p90, result.latency_p99) == quantiles
+
+
+def test_summary_pass_makes_no_whole_length_copy():
+    """Summarising a pass allocates at most one byte per session (a mode comparison)."""
+    n = 200_000
+    traces = list(
+        simulator._simulate_policies(SimConfig(sessions=n, seed=3), POLICY_KINDS).values()
+    )
+    tracemalloc.start()
+    try:
+        simulator._summarize_pass(traces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n, peak
 
 
 class TestQuantileModeReport:
