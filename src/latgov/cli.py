@@ -22,6 +22,7 @@ from .governor import MODE_ORDER, mode_shares, modes, reason_table
 from .model import ModelParams, calibrate_lambda0, fit_logistic_two_point, trust_score
 from .telemetry import (
     DEFAULT_WINDOW_CAPACITY,
+    QUANTILES,
     SloConfig,
     SloStatus,
     TelemetryError,
@@ -226,7 +227,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.telemetry:
         latencies, engaged = _columns(args, "latency_s", "engaged_60s")
         stats = window_stats(latencies)
-        quantiles = {"p50": stats.p50_s, "p90": stats.p90_s, "p99": stats.p99_s}
+        quantiles = {q: getattr(stats, f"{q}_s") for q in QUANTILES}
         repeat_rate = sum(engaged) / len(latencies)
         flag = "  [ALERT: below repeat floor]" if repeat_rate < slo_cfg.repeat_min else ""
         behavior_lines.append(f"repeat engagement: {repeat_rate * 100:.1f}%{flag}")
@@ -236,11 +237,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             result = SimResult.from_dict(sim_doc.get("result", sim_doc))
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad simulation output: {exc}") from exc
-        quantiles = {
-            "p50": result.latency_p50,
-            "p90": result.latency_p90,
-            "p99": result.latency_p99,
-        }
+        quantiles = {q: getattr(result, f"latency_{q}") for q in QUANTILES}
         if result.conversion_rate < slo_cfg.conv_min:
             behavior_lines.append(
                 f"conversion {result.conversion_rate * 100:.1f}% [ALERT: below floor]"

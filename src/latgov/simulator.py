@@ -33,7 +33,7 @@ and only converted sessions can repeat.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .config import (  # NumPy-free; callers may import these names from here to
 )
 from .governor import GovernorState, Mode, mode_shares, modes, step
 from .model import abandonment_hazard, context_conversion, perceived_latency, trust_score
-from .telemetry import ROLLING_BLOCK, WindowStats, nearest_rank, perceived_stream
+from .telemetry import QUANTILES, ROLLING_BLOCK, WindowStats, nearest_rank, perceived_stream
 
 OUTCOME_MODEL = "survive-then-convert"
 
@@ -54,7 +54,7 @@ class SessionTrace:
 
     Traces of policies simulated in one pass share their ``latency_s``,
     ``perceived_s`` and ``trust`` arrays: these do not depend on the policy.
-    ``latency_quantiles`` holds the nearest-rank p50, p90 and p99 of ``latency_s``.
+    ``latency_quantiles`` holds the nearest-rank ``QUANTILES`` of ``latency_s``, in order.
     """
 
     latency_s: np.ndarray
@@ -65,7 +65,7 @@ class SessionTrace:
     converted: np.ndarray
     repeated: np.ndarray
     governor_transitions: int
-    latency_quantiles: Tuple[float, float, float]
+    latency_quantiles: Tuple[float, ...]
 
     def __len__(self) -> int:
         return int(self.latency_s.shape[0])
@@ -163,7 +163,7 @@ def _simulate_policies(cfg: SimConfig, kinds: Tuple[str, ...]) -> Dict[str, Sess
     if not np.isfinite(latencies).all():
         raise ValueError("latencies overflow a float; lower the rail's mu_log, sigma_log or shift_s")
     ordered = np.sort(latencies)
-    quantiles = tuple(nearest_rank(ordered, q) for q in (0.50, 0.90, 0.99))
+    quantiles = tuple(nearest_rank(ordered, q) for q in QUANTILES.values())
     del ordered
     perceived = np.empty(n)
     perceived[:1] = 0.0  # one session late: see the module docstring
@@ -216,32 +216,18 @@ def simulate_paths(cfg: SimConfig) -> SessionTrace:
     return _simulate_policies(cfg, (cfg.policy.kind,))[cfg.policy.kind]
 
 
-def _summarize_pass(traces: Sequence[SessionTrace]) -> List[SimResult]:
-    """The results of traces simulated in one pass, in order. Such traces share
-    ``latency_s``, ``trust`` and ``latency_quantiles``: the quantiles, taken in
-    the pass, are read from the first trace, and the mean trust is one mean of its
-    ``trust``, so no whole-length copy is made here."""
-    shared = traces[0]
-    n = len(shared)
-    p50, p90, p99 = shared.latency_quantiles
-    mean_trust = float(np.mean(shared.trust))
-    return [
-        SimResult(
-            conversion_rate=float(np.count_nonzero(trace.converted)) / n,
-            abandonment_rate=float(np.count_nonzero(trace.abandoned)) / n,
-            repeat_rate=float(np.count_nonzero(trace.repeated)) / n,
-            mean_trust=mean_trust,
-            mode_shares=mode_shares(trace.mode),
-            latency_p50=p50,
-            latency_p90=p90,
-            latency_p99=p99,
-        )
-        for trace in traces
-    ]
-
-
 def summarize_trace(trace: SessionTrace) -> SimResult:
-    return _summarize_pass([trace])[0]
+    """The aggregate result of one trace. Its latency quantiles were taken in the
+    pass, so no whole-length copy is made here."""
+    n = len(trace)
+    return SimResult(
+        conversion_rate=float(np.count_nonzero(trace.converted)) / n,
+        abandonment_rate=float(np.count_nonzero(trace.abandoned)) / n,
+        repeat_rate=float(np.count_nonzero(trace.repeated)) / n,
+        mean_trust=float(np.mean(trace.trust)),
+        mode_shares=mode_shares(trace.mode),
+        **{f"latency_{q}": v for q, v in zip(QUANTILES, trace.latency_quantiles)},
+    )
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:
@@ -252,21 +238,16 @@ def run_simulation(cfg: SimConfig) -> SimResult:
 def run_burst(base: SimConfig, burst_rail: RailDistribution) -> Tuple[SimResult, SimResult]:
     """Run the congested regime ungoverned and governed under the same seed."""
     traces = _simulate_policies(replace(base, rail=burst_rail), ("none", "letw"))
-    ungoverned, governed = _summarize_pass([traces["none"], traces["letw"]])
-    return ungoverned, governed
+    return summarize_trace(traces["none"]), summarize_trace(traces["letw"])
 
 
 def compare_policies(cfg: SimConfig) -> Dict[str, SimResult]:
     """Run all three policies under the same seed; keyed by policy kind."""
     traces = _simulate_policies(cfg, POLICY_KINDS)
-    return dict(zip(traces, _summarize_pass(list(traces.values()))))
+    return {kind: summarize_trace(trace) for kind, trace in traces.items()}
 
 
 def quantile_mode_report(cfg: SimConfig) -> List[QuantileModeRow]:
     """Analytic rail quantiles mapped to modes and expected conversion."""
-    quantiles = {
-        "p50": cfg.rail.quantile(0.50),
-        "p90": cfg.rail.quantile(0.90),
-        "p99": cfg.rail.quantile(0.99),
-    }
+    quantiles = {name: cfg.rail.quantile(q) for name, q in QUANTILES.items()}
     return quantile_mode_rows(quantiles, cfg.params, cfg.ctx)

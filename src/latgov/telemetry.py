@@ -43,22 +43,21 @@ DEFAULT_WINDOW_CAPACITY = 256
 # windows; the simulator's sessions); passes keep the temporaries small.
 ROLLING_BLOCK = 4_096
 
-# Metric names used in SLO breach sets.
-METRIC_P50 = "p50"
-METRIC_P90 = "p90"
-METRIC_P99 = "p99"
+# Latency quantile name -> nearest-rank level; every quantile list derives from it.
+QUANTILES = {"p50": 0.50, "p90": 0.90, "p99": 0.99}
+
+# Metric names used in SLO breach sets: the quantile names and this one.
 METRIC_JITTER = "jitter_std"
 
-# Metric name -> (WindowStats field, SloConfig target field, SloConfig alert field or None).
+# Metric name -> (WindowStats field, SloConfig target field, SloConfig alert field
+# or None: the median has no alert).
 SLO_METRICS = {
-    METRIC_P50: ("p50_s", "p50_max_s", None),
-    METRIC_P90: ("p90_s", "p90_max_s", "p90_alert_s"),
-    METRIC_P99: ("p99_s", "p99_max_s", "p99_alert_s"),
+    **{q: (f"{q}_s", f"{q}_max_s", None if q == "p50" else f"{q}_alert_s") for q in QUANTILES},
     METRIC_JITTER: ("std_s", "jitter_std_max_s", "jitter_alert_s"),
 }
 
 # Only sustained p90 / jitter violations drive automatic escalation.
-ESCALATION_METRICS = frozenset({METRIC_P90, METRIC_JITTER})
+ESCALATION_METRICS = frozenset({"p90", METRIC_JITTER})
 ESCALATION_WINDOWS = 3  # escalate on the 3rd consecutive breaching window
 
 
@@ -376,11 +375,11 @@ class WindowStats:
             raise ValueError("quantiles must be ordered p50 <= p90 <= p99")
 
 
-EMPTY_STATS = WindowStats(count=0, mean_s=0.0, std_s=0.0, p50_s=0.0, p90_s=0.0, p99_s=0.0)
+EMPTY_STATS = WindowStats(0, 0.0, 0.0, *(0.0 for _ in QUANTILES))
 
 
 def window_stats(values: Sequence[float]) -> WindowStats:
-    """Mean (fsum), sample std (n-1) and nearest-rank p50/p90/p99 of ``values``."""
+    """Mean (fsum), sample std (n-1) and the nearest-rank :data:`QUANTILES` of ``values``."""
     n = len(values)
     if n == 0:
         return EMPTY_STATS
@@ -390,14 +389,22 @@ def window_stats(values: Sequence[float]) -> WindowStats:
     else:
         std = 0.0
     ordered = sorted(values)
-    return WindowStats(
-        count=n,
-        mean_s=mean,
-        std_s=std,
-        p50_s=nearest_rank(ordered, 0.50),
-        p90_s=nearest_rank(ordered, 0.90),
-        p99_s=nearest_rank(ordered, 0.99),
-    )
+    return WindowStats(n, mean, std, *(nearest_rank(ordered, q) for q in QUANTILES.values()))
+
+
+def _running_moments(rows: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Running mean and sum of squared deviations along each row, summed about the
+    row's first value: column c covers the first ``counts[c]`` (c + 1) values."""
+    import numpy as np
+    dev = rows - rows[:, :1]
+    s1 = np.cumsum(dev, axis=1)
+    m2 = np.cumsum(np.square(dev, out=dev), axis=1)
+    mean = np.divide(s1, counts)
+    mean += rows[:, :1]
+    np.square(s1, out=s1)
+    s1 /= counts
+    m2 -= s1
+    return mean, m2
 
 
 def _window_passes(x, window: int) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
@@ -420,28 +427,12 @@ def _window_passes(x, window: int) -> Iterator[Tuple[int, int, np.ndarray, np.nd
             rows = np.concatenate((rows, np.zeros(-rows.shape[0] % window)))
         rows = rows.reshape(-1, window)
         first = lo == start  # else rows[0] is the row before, read for its tails
-        # Heads, about each row's first value; a window at a row's end, and
-        # every window of the first row, is all head.
-        own = rows if first else rows[1:]
-        dev = own - own[:, :1]
-        h1 = np.cumsum(dev, axis=1)
-        m2 = np.cumsum(np.square(dev, out=dev), axis=1)
-        mean = np.divide(h1, n_head)
-        mean += own[:, :1]
-        np.square(h1, out=h1)
-        h1 /= n_head
-        m2 -= h1
-        # Tails, about the last value of the row before, summed from its end
-        # back: reversed column c holds the last c + 1 values.
-        prev = rows[:-1, ::-1]
-        dev = prev[:, :-1] - prev[:, :1]
-        t1 = np.cumsum(dev, axis=1)
-        t2 = np.cumsum(np.square(dev, out=dev), axis=1)
-        mean_tail = np.divide(t1, n_head[:-1])
-        mean_tail += prev[:, :1]
-        np.square(t1, out=t1)
-        t1 /= n_head[:-1]
-        t2 -= t1
+        # Heads; a window at a row's end, and every window of the first row, is
+        # all head.
+        mean, m2 = _running_moments(rows if first else rows[1:], n_head)
+        # Tails, of the row before summed from its end back: reversed column c
+        # holds its last c + 1 values.
+        mean_tail, t2 = _running_moments(rows[:-1, :0:-1], n_head[:-1])
         # Merge each window of a later row, but the row's last, with its tail
         # (n_tail from window - 1 down to 1): m2 += m2_tail + delta**2 * n_head *
         # n_tail / window and mean = mean_tail + delta * n_head / window, in

@@ -513,7 +513,8 @@ def test_summary_pass_makes_no_whole_length_copy():
     )
     tracemalloc.start()
     try:
-        simulator._summarize_pass(traces)
+        for trace in traces:
+            summarize_trace(trace)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
