@@ -169,6 +169,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         out_doc = {"policies": {kind: res.to_dict() for kind, res in results.items()}}
     else:
         result = run_simulation(cfg)
+        quantiles = " ".join(f"{q}={getattr(result, f'latency_{q}'):.3f}s" for q in QUANTILES)
         print(
             f"policy={cfg.policy.kind} sessions={cfg.sessions} seed={cfg.seed}\n"
             f"conversion={result.conversion_rate * 100:.2f}% "
@@ -176,8 +177,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"repeat={result.repeat_rate * 100:.2f}% "
             f"trust={result.mean_trust:.4f}\n"
             f"modes: {_format_shares(result.mode_shares)}\n"
-            f"latency p50={result.latency_p50:.3f}s p90={result.latency_p90:.3f}s "
-            f"p99={result.latency_p99:.3f}s"
+            f"latency {quantiles}"
         )
         out_doc = {"result": result.to_dict()}
     _write_out(args.out, {"config": cfg.to_dict(), **out_doc, "outcome_model": OUTCOME_MODEL})
@@ -286,10 +286,8 @@ def cmd_slo(args: argparse.Namespace) -> int:
                 "escalated": status.escalated,
             }
         )
-        line = (
-            f"window {index}: n={stats.count} p50={stats.p50_s:.3f} "
-            f"p90={stats.p90_s:.3f} p99={stats.p99_s:.3f} jitter={stats.std_s:.3f}"
-        )
+        quantiles = " ".join(f"{q}={getattr(stats, f'{q}_s'):.3f}" for q in QUANTILES)
+        line = f"window {index}: n={stats.count} {quantiles} jitter={stats.std_s:.3f}"
         if breaches:
             line += f" breaches={','.join(sorted(breaches))}"
         if status.escalated:

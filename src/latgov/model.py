@@ -289,9 +289,9 @@ def revenue_gradient(
 def fit_logistic_two_point(
     point1: Tuple[float, float], point2: Tuple[float, float]
 ) -> Tuple[float, float]:
-    """Solve logit(P) = alpha - beta * L exactly through two (L, P) points."""
-    l1, p1 = point1
-    l2, p2 = point2
+    """Solve logit(P) = alpha - beta * L exactly through two (L, P) points, L >= 0."""
+    (l1, p1), (l2, p2) = point1, point2
+    l1, l2 = check_latency(l1), check_latency(l2)  # so l2 - l1 cannot overflow
     if l1 == l2:
         raise ValueError("latencies must be distinct for a two-point fit")
     g1 = logit(p1)

@@ -8,10 +8,10 @@ simulation, aggregation and the experiment drivers (burst and policy
 comparison); the scenario and result types are in :mod:`latgov.config`.
 Policies simulated together (``--policy all``, :func:`run_burst`) share one
 pass: one draw, one window pass, one computation of trust, hazard and
-conversion probability, one sort of the latencies for their quantiles (taken
-as soon as they are drawn, before the later arrays exist) and one mean trust;
-each policy adds only its modes, its hazard multipliers and its outcome
-comparisons.
+conversion probability, and one sort of the latencies for their
+:data:`telemetry.QUANTILES`, taken as soon as they are drawn and carried by
+each trace; each policy adds only its modes, its hazard multipliers and its
+outcome comparisons, and :func:`summarize_trace` summarizes its trace.
 
 Determinism: a run is a pure function of ``(config, seed)``. All random
 variates come from one seeded generator in four lanes of one value per

@@ -12,6 +12,8 @@ reader of the CLI, a column at a time over :data:`READ_CHUNK` decoded lines,
 returning only the columns asked for. A chunk that fails any check is read
 again line by line through :func:`parse_event`. So both readers accept,
 number and drop the same lines with the same messages.
+
+:data:`QUANTILES` names the latency quantiles that every summary reports.
 """
 
 from __future__ import annotations

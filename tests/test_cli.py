@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -426,18 +427,24 @@ class TestFit:
         assert doc["beta"] == 0.0
 
     @pytest.mark.parametrize(
-        "flag, value",
+        "flag, value, message",
         [
-            *(pytest.param("--points", points, id=points) for points in
-              ["1:0.5", "1:0.5,2:0.6,3:0.7", "nonsense", "1:2:3,4:5", "1:0.5,1:0.6"]),
-            *(pytest.param("--hazard-anchor", anchor, id=f"anchor-{anchor}") for anchor in
-              ["7", "1:7:2", "one:7", "1:inf"]),
+            *(pytest.param("--points", points, message, id=points) for points, message in [
+                ("1:0.5", "expected exactly two latency:probability points, got 1"),
+                ("1:0.5,2:0.6,3:0.7", "expected exactly two latency:probability points, got 3"),
+                ("nonsense", "could not parse point 'nonsense'"),
+                ("1:2:3,4:5", "could not parse point '1:2:3'"),
+                ("1:0.5,1:0.6", "latencies must be distinct"),
+                ("-1e308:0.6,1e308:0.5", "latency must be non-negative, got -1e+308"),
+                ("1:0.6,-0.5:0.5", "latency must be non-negative, got -0.5"),
+            ]),
+            *(pytest.param("--hazard-anchor", anchor, "could not parse hazard anchor",
+                           id=f"anchor-{anchor}") for anchor in ["7", "1:7:2", "one:7", "1:inf"]),
         ],
     )
-    def test_bad_points_usage_error(self, capsys, flag, value):
-        assert main(["fit", flag, value]) == 2
-        if flag == "--hazard-anchor":
-            assert "could not parse hazard anchor" in capsys.readouterr().err
+    def test_bad_points_usage_error(self, capsys, flag, value, message):
+        assert main(["fit", f"{flag}={value}"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_points_too_close_for_a_finite_fit(self, capsys):
         assert main(["fit", "--points", "0:0.1,5e-324:0.9"]) == 2
@@ -896,3 +903,62 @@ class TestCliFuzz:
         assert code in (0, 1, 2, 3)
         assert not runtime, [str(w.message) for w in runtime]
         assert_no_non_finite(out)
+
+
+def float_fields(cls):
+    """The fields of ``cls`` that take a float, ``Optional[float]`` ones too."""
+    hints = typing.get_type_hints(cls)
+    return [f.name for f in fields(cls) if float in (hints[f.name], *typing.get_args(hints[f.name]))]
+
+
+EXTREME_FLOATS = [1e308, -1e308, 5e-324, 1e-300, 0.0]
+# (section or None for the top level, field): every float field simulate reads ...
+SIM_FLOAT_FIELDS = [(None, name) for name in float_fields(SimConfig)] + [
+    (section, name) for section, cls in SECTIONS.items() for name in float_fields(cls)
+]
+# ... and every float field replay, report and slo read.
+TELEMETRY_FLOAT_FIELDS = [
+    (section, name)
+    for section, cls in (("params", ModelParams), ("ctx", ContextProfile), ("slo", SloConfig))
+    for name in float_fields(cls)
+]
+
+
+def field_id(section_field):
+    section, name = section_field
+    return name if section is None else f"{section}.{name}"
+
+
+def assert_ends_cleanly(tmp, doc, argv):
+    """``argv`` on a config of ``doc`` exits 0, 1 or 2 with no RuntimeWarning, and
+    neither stdout nor ``tmp / out.json(l)`` holds NaN or Infinity."""
+    (tmp / "cfg.json").write_text(json.dumps(doc))
+    out = tmp / ("out.jsonl" if argv[0] == "replay" else "out.json")
+    code, stdout, stderr, runtime = run_quietly([*argv, "--config", str(tmp / "cfg.json"),
+                                                 "--out", str(out)])
+    assert code in (0, 1, 2), stderr
+    assert not runtime, [str(w.message) for w in runtime]
+    assert not any(token in stdout for token in ("nan", "inf", "NaN", "Infinity")), stdout
+    assert_no_non_finite(out)
+
+
+class TestOneExtremeFloat:
+    """One extreme value in one float field of an otherwise default config, for
+    every such field and value: the fuzz above draws several fields at once and
+    never made ``beta * m_c * L`` overflow, which this sweep reaches."""
+
+    @pytest.mark.parametrize("value", EXTREME_FLOATS)
+    @pytest.mark.parametrize("section_field", SIM_FLOAT_FIELDS, ids=field_id)
+    def test_simulate(self, tmp_path, section_field, value):
+        section, name = section_field
+        doc = {name: value} if section is None else {section: {name: value}}
+        assert_ends_cleanly(tmp_path, doc, ["simulate", "--sessions", "2000", "--policy", "all"])
+
+    @pytest.mark.parametrize("command", ["replay", "report", "slo"])
+    @pytest.mark.parametrize("value", EXTREME_FLOATS)
+    @pytest.mark.parametrize("section_field", TELEMETRY_FLOAT_FIELDS, ids=field_id)
+    def test_telemetry_commands(self, tmp_path, section_field, value, command):
+        section, name = section_field
+        write_telemetry(tmp_path / "t.jsonl", [0.4, 1.1, 2.6, 0.9, 4.2, 1.7], engaged_every=2)
+        argv = [command, "--telemetry", str(tmp_path / "t.jsonl")]
+        assert_ends_cleanly(tmp_path, {section: {name: value}}, argv)

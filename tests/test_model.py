@@ -435,6 +435,12 @@ class TestTwoPointFit:
         with pytest.raises(ValueError, match="too close"):  # beta = inf, alpha = nan
             fit_logistic_two_point((0.0, 0.1), (5e-324, 0.9))
 
+    @pytest.mark.parametrize("points", [((-1e308, 0.6), (1e308, 0.5)), ((1.0, 0.6), (-0.5, 0.5))])
+    def test_rejects_negative_latency(self, points):
+        # l2 - l1 of the first pair overflows to inf, which made beta 0 and a wrong fit.
+        with pytest.raises(ValueError, match="latency must be non-negative"):
+            fit_logistic_two_point(*points)
+
     @given(
         l1=st.floats(min_value=0.0, max_value=6.0),
         dl=st.floats(min_value=0.1, max_value=6.0),

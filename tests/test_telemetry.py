@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import fields
 from fractions import Fraction
 from typing import Dict, Optional, get_type_hints
 
@@ -11,13 +12,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from latgov.config import SimResult
 from latgov.model import perceived_latency
 from latgov.telemetry import (
     EMPTY_STATS,
     OPTIONAL_FIELDS,
+    QUANTILES,
     REQUIRED_FIELDS,
     ROLLING_BLOCK,
     SCHEMA,
+    SLO_METRICS,
     LatencyWindow,
     SloConfig,
     SloStatus,
@@ -495,6 +499,28 @@ class TestNearestRank:
             nearest_rank([1.0], 0.0)
         with pytest.raises(ValueError):
             nearest_rank([1.0], 1.5)
+
+
+class TestQuantilesTable:
+    """The fields that QUANTILES names, and the field order that window_stats's
+    positional WindowStats(...) relies on."""
+
+    def test_window_stats_fields(self):
+        names = [f.name for f in fields(WindowStats)]
+        assert names == ["count", "mean_s", "std_s", *(f"{q}_s" for q in QUANTILES)]
+
+    def test_sim_result_fields(self):
+        names = {f.name for f in fields(SimResult)}
+        assert {f"latency_{q}" for q in QUANTILES} <= names
+
+    def test_slo_metrics_name_existing_fields(self):
+        assert set(QUANTILES) < set(SLO_METRICS)
+        stats_fields = {f.name for f in fields(WindowStats)}
+        slo_fields = {f.name for f in fields(SloConfig)}
+        for stat, target, alert in SLO_METRICS.values():
+            assert stat in stats_fields
+            assert target in slo_fields
+            assert alert is None or alert in slo_fields
 
 
 def make_stats(p50=0.5, p90=1.0, p99=2.0, std=0.2):

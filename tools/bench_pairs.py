@@ -88,11 +88,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10, help="at least 2, for the quartiles")
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--workload", action="append", help="default: every workload of BENCHMARK.json")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
+    if args.pairs < 2:  # before any run: statistics.quantiles needs two runs a side
+        parser.error(f"--pairs must be >= 2, got {args.pairs}")
 
     benchmark = json.loads(Path("BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
