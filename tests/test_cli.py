@@ -908,7 +908,8 @@ class TestCliFuzz:
 def float_fields(cls):
     """The fields of ``cls`` that take a float, ``Optional[float]`` ones too."""
     hints = typing.get_type_hints(cls)
-    return [f.name for f in fields(cls) if float in (hints[f.name], *typing.get_args(hints[f.name]))]
+    return [f.name for f in fields(cls)
+            if float in (hints[f.name], *typing.get_args(hints[f.name]))]
 
 
 EXTREME_FLOATS = [1e308, -1e308, 5e-324, 1e-300, 0.0]
