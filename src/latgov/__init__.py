@@ -31,7 +31,6 @@ from .model import (
     update_sensitivity,
 )
 from .telemetry import (
-    LatencyWindow,
     SloConfig,
     SloStatus,
     TelemetryEvent,

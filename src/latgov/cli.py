@@ -233,6 +233,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         behavior_lines.append(f"repeat engagement: {repeat_rate * 100:.1f}%{flag}")
     else:
         sim_doc = _load_json(args.sim, "simulation output")
+        if isinstance(sim_doc.get("policies"), dict):
+            raise UsageError(
+                f"{args.sim} is a policy comparison of {', '.join(sim_doc['policies'])}; "
+                "report --sim reads the --out of a one-policy simulate run"
+            )
         try:
             result = SimResult.from_dict(sim_doc.get("result", sim_doc))
         except (TypeError, ValueError) as exc:

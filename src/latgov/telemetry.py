@@ -22,17 +22,16 @@ import json
 import math
 import sys
 import typing
-from collections import deque
 from dataclasses import dataclass, fields
 from itertools import islice, repeat
 from operator import ge, itemgetter
 from typing import (
-    TYPE_CHECKING, Deque, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
-    Sequence, Tuple,
+    TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+    Tuple,
 )
 
 from .governor import Mode
-from .model import check_latency, perceived_latency
+from .model import perceived_latency
 
 if TYPE_CHECKING:  # NumPy loads only in the array functions that use it
     import numpy as np
@@ -411,8 +410,7 @@ def _running_moments(rows: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, 
 
 def _window_passes(x, window: int) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
     """Yield ``(start, stop, mean, std)`` a pass at a time for :func:`rolling_mean_std`:
-    the arrays hold whole rows of ``window`` values, and their first ``stop - start``
-    values are the windows ending at ``x[start:stop]`` (the rest is padding)."""
+    the arrays hold the windows ending at ``x[start:stop]``."""
     import numpy as np
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -460,15 +458,20 @@ def _window_passes(x, window: int) -> Iterator[Tuple[int, int, np.ndarray, np.nd
             m2[1:] /= window - 1
         else:
             m2 /= window - 1
-        yield start, stop, mean, np.sqrt(m2, out=m2)
+        np.sqrt(m2, out=m2)  # the std
+        yield start, stop, mean.ravel()[: stop - start], m2.ravel()[: stop - start]
 
 
 def rolling_mean_std(x, window: int) -> Tuple[np.ndarray, np.ndarray]:
     """Mean and sample std (n-1) of the last ``window`` values at every index.
 
-    The window at index i ends with x[i], as :meth:`LatencyWindow.stats` reads
-    it after a push, so no window is empty; one-value windows read std 0.
-    (The simulator reads it one index late; see :mod:`latgov.simulator`.)
+    The window at index i holds the last ``window`` values up to and including
+    x[i], ``x[max(0, i - window + 1) : i + 1]``, so no window is empty; one-value
+    windows read std 0. (The simulator reads it one index late; see
+    :mod:`latgov.simulator`.) A window that holds inf, -inf or NaN reads a mean of
+    NaN or +-inf (NaN for one such value alone) and a std of NaN (0 for one
+    value); the windows that hold none are unaffected. A window whose spread
+    squares past the float range reads a std of NaN or inf. Neither warns.
 
     The values are cut into rows of ``window`` values, so every window is the
     head of one row, up to x[i], plus the tail of the row before, empty at a
@@ -482,9 +485,9 @@ def rolling_mean_std(x, window: int) -> Tuple[np.ndarray, np.ndarray]:
     import numpy as np
     x = np.asarray(x, dtype=np.float64)
     mean, std = np.empty(x.shape[0]), np.empty(x.shape[0])
-    for start, stop, m, s in _window_passes(x, window):
-        mean[start:stop] = m.ravel()[: stop - start]
-        std[start:stop] = s.ravel()[: stop - start]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, stop, m, s in _window_passes(x, window):
+            mean[start:stop], std[start:stop] = m, s
     return mean, std
 
 
@@ -498,38 +501,11 @@ def perceived_stream(latencies, window: int, k: float, out=None) -> np.ndarray:
         out = np.empty(latencies.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are rejected below
         for start, stop, mean, std in _window_passes(latencies, window):
-            got = perceived_latency(mean, std, k).ravel()[: stop - start]
+            got = perceived_latency(mean, std, k)
             if not np.isfinite(got).all():
                 raise ValueError("perceived latency overflows a float; lower params.k or the latencies")
             out[start:stop] = got
     return out
-
-
-class LatencyWindow:
-    """Bounded count-based window of confirmation latencies (seconds).
-
-    Pushing past capacity evicts the oldest value; retained order is
-    preserved. Single-writer; distinct sessions get distinct windows.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_WINDOW_CAPACITY):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._values: Deque[float] = deque(maxlen=capacity)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def values(self) -> tuple:
-        return tuple(self._values)
-
-    def push(self, latency_s: float) -> "LatencyWindow":
-        self._values.append(check_latency(latency_s))
-        return self
-
-    def stats(self) -> WindowStats:
-        return window_stats(self._values)
 
 
 @dataclass(frozen=True)

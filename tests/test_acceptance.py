@@ -41,7 +41,7 @@ from latgov.simulator import (
     run_burst,
     run_simulation,
 )
-from latgov.telemetry import LatencyWindow, SloStatus, slo_track
+from latgov.telemetry import SloStatus, slo_track, window_stats
 
 PARAMS = ModelParams()
 BURST_RAIL = RailDistribution.from_median(2.8, 0.3569356868633699)
@@ -231,15 +231,12 @@ def test_c10_telemetry_oracle_equivalence():
             size = int(rng.integers(1, 64))
             capacity = int(rng.integers(1, 64))
             values = rng.uniform(0.0, 30.0, size=size)
-            window = LatencyWindow(capacity=capacity)
-            for value in values:
-                window.push(float(value))
             retained = [float(v) for v in values[-capacity:]]
             n = len(retained)
             mean = sum(retained) / n
             std = math.sqrt(sum((v - mean) ** 2 for v in retained) / (n - 1)) if n > 1 else 0.0
             ordered = sorted(retained)
-            stats = window.stats()
+            stats = window_stats(retained)
             assert math.isclose(stats.mean_s, mean, rel_tol=1e-12, abs_tol=1e-12)
             assert math.isclose(stats.std_s, std, rel_tol=1e-12, abs_tol=1e-12)
             for got, (q_num, q_den) in (

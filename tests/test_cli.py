@@ -317,6 +317,16 @@ class TestReport:
         assert main(["report", "--sim", str(sim_out)]) == 0
         assert "p99" in capsys.readouterr().out
 
+    def test_sim_input_from_a_policy_comparison(self, tmp_path):
+        sim_out = tmp_path / "all.json"
+        assert main(["simulate", "--sessions", "300", "--policy", "all", "--out", str(sim_out)]) == 0
+        code, stdout, stderr, _ = run_quietly(["report", "--sim", str(sim_out)])
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            f"error: {sim_out} is a policy comparison of letw, none, static_messaging; "
+            "report --sim reads the --out of a one-policy simulate run\n"
+        )
+
     @pytest.mark.parametrize(
         "conversion_rate, repeat_rate, alerts",
         [

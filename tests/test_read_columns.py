@@ -5,16 +5,20 @@
 events it would yield.
 """
 
+import codecs
+import gzip
 import json
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latgov import telemetry
+from latgov import cli, telemetry
 from latgov.telemetry import (
     COLUMNS,
+    DEFAULT_WINDOW_CAPACITY,
     OPTIONAL_FIELDS,
     READ_CHUNK,
     REQUIRED_FIELDS,
@@ -28,6 +32,7 @@ from latgov.telemetry import (
     iter_events,
     parse_event,
     read_columns,
+    reject_non_finite,
 )
 from test_cli import GOOD_EVENT, WILD, run_quietly
 
@@ -298,3 +303,130 @@ class TestReadColumns:
     def test_small_chunks_same_as_parse_event(self, lines):
         with mock.patch.object(telemetry, "READ_CHUNK", 3):
             assert_same_as_events(lines)
+
+
+# A byte-level differential fuzz of the readers. The base is the first 600
+# lines of the golden telemetry (a blank line 256 and a bad line 257 among
+# them), so it crosses the first two chunk edges.
+GOLDEN_LINES = gzip.decompress(
+    (Path(__file__).resolve().parent / "golden" / "telemetry.jsonl.gz").read_bytes()
+).split(b"\n")
+FUZZ_BASE = b"\n".join(GOLDEN_LINES[:600]) + b"\n"
+HOSTILE = [
+    b"\r", b"\n", b"\x00", b"\x0b", b"\x0c", b"\x1c", "\x85".encode(), "\u2028".encode(),
+    codecs.BOM_UTF8, b"\xff", b"\xc3", b'"', b"\\", b"0", b"7", b"{", b"}",
+]
+_LINE_ENDS = [i for i, byte in enumerate(FUZZ_BASE) if byte == ord("\n")]
+# Byte offsets at the chunk edges: the end of the last line of a chunk, the
+# newline after it, and the start of the next chunk's first line.
+CHUNK_EDGES = sorted(
+    _LINE_ENDS[n - 1] + d for k in (1, 2) for n in (k * READ_CHUNK, k * READ_CHUNK + 1)
+    for d in (-1, 0, 1)
+)
+_REFERENCE_DECODER = json.JSONDecoder(parse_constant=reject_non_finite)
+
+
+def byte_edits(data, edits):
+    """``data`` with each ``(kind, offset, token)`` edit applied in turn: an
+    insert before, a replacement of, or a deletion of the byte at ``offset``."""
+    for kind, offset, token in edits:
+        offset = min(offset, len(data) - 1)
+        if kind == "insert":
+            data = data[:offset] + token + data[offset:]
+        else:
+            data = data[:offset] + (token if kind == "replace" else b"") + data[offset + 1 :]
+    return data
+
+
+def reference_read(data, skip_bad):
+    """(all of COLUMNS, None), or (None, the first error's message) when not
+    ``skip_bad``, by a reference reader of the file's bytes: lines end at
+    the newline byte only, a leading BOM is dropped, a line must be strict UTF-8, and a
+    stripped line that is blank is skipped."""
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8) :]
+    events = []
+    for lineno, raw in enumerate(data.split(b"\n"), start=1):
+        try:
+            text = raw.decode("utf-8").strip()
+            if not text:
+                continue
+            try:
+                doc = _REFERENCE_DECODER.decode(text)
+            except json.JSONDecodeError as exc:
+                raise TelemetryError(f"malformed JSON: {exc.msg}", lineno)
+            except ValueError as exc:
+                raise TelemetryError(f"malformed JSON: {exc}", lineno)
+            events.append(event_from_dict(doc, lineno))
+        except UnicodeDecodeError:
+            if not skip_bad:
+                return None, f"line {lineno}: line is not valid UTF-8"
+        except TelemetryError as exc:
+            if not skip_bad:
+                return None, str(exc)
+    return event_columns(events), None
+
+
+def reader_read(path, skip_bad):
+    """What ``cli._read_lines`` plus ``read_columns`` read from ``path``, in the
+    form of :func:`reference_read`."""
+    try:
+        with cli._read_lines(str(path)) as lines:
+            return read_columns(lines, COLUMNS, skip_bad), None
+    except TelemetryError as exc:
+        return None, str(exc)
+
+
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "replace", "delete"]),
+        st.sampled_from(CHUNK_EDGES) | st.integers(0, len(FUZZ_BASE) - 1),
+        st.sampled_from(HOSTILE),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+# Edits that the search may miss, each once: a byte that is not UTF-8 inside a
+# string of a chunk that is otherwise good, a line end that str.strip() takes
+# and JSON does not, a second BOM, and a bare \r that joins two lines.
+_IN_AN_ID = FUZZ_BASE.index(b'"g0009"') + 3
+
+
+class TestByteFuzz:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(edits=EDITS)
+    @example(edits=[("replace", _IN_AN_ID, b"\xff")])
+    @example(edits=[("insert", _IN_AN_ID, b"\xc3"), ("insert", _LINE_ENDS[-2], b"\xff")])
+    @example(edits=[("insert", _LINE_ENDS[2 * READ_CHUNK - 1], "\u2028".encode())])
+    @example(edits=[("insert", 0, codecs.BOM_UTF8), ("insert", 0, codecs.BOM_UTF8)])
+    @example(edits=[("replace", _LINE_ENDS[99], b"\r")])
+    def test_reader_same_as_reference(self, tmp_path_factory, edits):
+        data = byte_edits(FUZZ_BASE, edits)
+        path = tmp_path_factory.mktemp("fuzz") / "t.jsonl"
+        path.write_bytes(data)
+        for skip_bad in (False, True):
+            want = reference_read(data, skip_bad)
+            got = reader_read(path, skip_bad)
+            assert got == want
+            if want[0] is not None:  # and the same types: int, float, bool, None
+                assert [list(map(type, c)) for c in got[0]] == [list(map(type, c)) for c in want[0]]
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(edits=EDITS)
+    def test_command_line_same_as_reference(self, tmp_path_factory, edits):
+        data = byte_edits(FUZZ_BASE, edits)
+        path = tmp_path_factory.mktemp("fuzz") / "t.jsonl"
+        path.write_bytes(data)
+        for flags in ([], ["--skip-bad"]):
+            columns, error = reference_read(data, skip_bad=bool(flags))
+            code, stdout, stderr, _ = run_quietly(["slo", "--telemetry", str(path), *flags])
+            if error is not None:
+                assert (code, stdout, stderr) == (2, "", f"error: {error}\n")
+            elif not columns[0]:
+                assert (code, stdout, stderr) == (1, "", "error: no telemetry events\n")
+            else:
+                windows = -(-len(columns[0]) // DEFAULT_WINDOW_CAPACITY)  # slo's default --window
+                assert code in (0, 3) and stderr == ""
+                assert stdout.splitlines()[-1].startswith(f"windows={windows} ")

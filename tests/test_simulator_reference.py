@@ -17,7 +17,7 @@ from latgov.simulator import (
     simulate_paths,
     simulate_session,
 )
-from latgov.telemetry import LatencyWindow
+from latgov.telemetry import window_stats
 
 
 class _LaneRng:
@@ -41,18 +41,17 @@ def assert_matches_session_reference(cfg):
     latencies = np.exp(cfg.rail.mu_log + cfg.rail.sigma_log * latency_z) + cfg.rail.shift_s
     assert np.array_equal(latencies, trace.latency_s)
 
-    window = LatencyWindow(capacity=cfg.window_capacity)
     gov = GovernorState()
     for i in range(cfg.sessions):
         lane = _LaneRng(float(patience[i]), float(u_convert[i]), float(u_repeat[i]))
-        outcome, gov = simulate_session(lane, float(latencies[i]), window.stats(), gov, cfg)
+        stats = window_stats(latencies[max(0, i - cfg.window_capacity) : i].tolist())
+        outcome, gov = simulate_session(lane, float(latencies[i]), stats, gov, cfg)
         assert outcome.mode.index == trace.mode[i], i
         assert outcome.abandoned == trace.abandoned[i], i
         assert outcome.converted == trace.converted[i], i
         assert outcome.repeated == trace.repeated[i], i
         assert outcome.perceived_s == pytest.approx(trace.perceived_s[i], rel=1e-9, abs=1e-12)
         assert outcome.trust == pytest.approx(trace.trust[i], rel=1e-9, abs=1e-12)
-        window.push(float(latencies[i]))
     if cfg.policy.kind == "letw":
         assert gov.transitions == trace.governor_transitions
 

@@ -22,7 +22,6 @@ from latgov.telemetry import (
     ROLLING_BLOCK,
     SCHEMA,
     SLO_METRICS,
-    LatencyWindow,
     SloConfig,
     SloStatus,
     TelemetryError,
@@ -253,60 +252,26 @@ class TestParsing:
         assert confirmation_latency(parse_event(json.dumps(doc))) == 8.0
 
 
-class TestLatencyWindow:
+class TestWindowStats:
     def test_single_push(self):
-        stats = LatencyWindow(capacity=10).push(1.0).stats()
+        stats = window_stats([1.0])
         assert (stats.count, stats.mean_s, stats.std_s) == (1, 1.0, 0.0)
 
-    def test_fills_to_capacity(self):
-        window = LatencyWindow(capacity=10)
-        for value in range(1, 11):
-            window.push(float(value))
-        assert window.stats().count == 10
-
-    def test_length_stays_at_capacity_past_it(self):
-        window = LatencyWindow(capacity=3)
-        for value in range(1, 6):
-            window.push(float(value))
-        assert len(window) == 3
-
-    def test_eviction_matches_list_oracle(self):
-        rng = np.random.default_rng(11)
-        window = LatencyWindow(capacity=10)
-        pushed = []
-        for value in rng.uniform(0.0, 5.0, size=200):
-            window.push(float(value))
-            pushed.append(float(value))
-            assert window.values() == tuple(pushed[-10:])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            LatencyWindow().push(-0.5)
-        with pytest.raises(ValueError):
-            LatencyWindow().push(float("nan"))
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            LatencyWindow(capacity=0)
-
     def test_empty_stats(self):
-        assert LatencyWindow().stats() == EMPTY_STATS
+        assert window_stats([]) == EMPTY_STATS
 
     def test_one_to_ten_quantiles(self):
-        window = LatencyWindow(capacity=16)
-        for value in range(1, 11):
-            window.push(float(value))
-        stats = window.stats()
+        stats = window_stats([float(value) for value in range(1, 11)])
         assert (stats.p50_s, stats.p90_s, stats.p99_s) == (5.0, 9.0, 10.0)
 
     def test_constant_values(self):
-        stats = LatencyWindow().push(2.0).push(2.0).stats()
+        stats = window_stats([2.0, 2.0])
         assert stats.mean_s == 2.0
         assert stats.std_s == 0.0
 
     @pytest.mark.parametrize("x", [0.1, 0.5, 1.7])
     def test_two_point_std(self, x):
-        stats = LatencyWindow().push(2.0 - x).push(2.0 + x).stats()
+        stats = window_stats([2.0 - x, 2.0 + x])
         assert stats.mean_s == pytest.approx(2.0, abs=1e-12)
         assert stats.std_s == pytest.approx(x * math.sqrt(2.0), abs=1e-12)
 
@@ -316,12 +281,9 @@ class TestLatencyWindow:
             size = int(rng.integers(1, 40))
             capacity = int(rng.integers(1, 40))
             values = rng.uniform(0.0, 30.0, size=size)
-            window = LatencyWindow(capacity=capacity)
-            for value in values:
-                window.push(float(value))
             retained = [float(v) for v in values[-capacity:]]
             mean, std, p50, p90, p99 = oracle_stats(retained)
-            stats = window.stats()
+            stats = window_stats(retained)
             assert stats.count == len(retained)
             assert math.isclose(stats.mean_s, mean, rel_tol=1e-12, abs_tol=1e-12)
             assert math.isclose(stats.std_s, std, rel_tol=1e-12, abs_tol=1e-12)
@@ -331,21 +293,8 @@ class TestLatencyWindow:
 
     @given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=50))
     def test_quantile_ordering(self, values):
-        window = LatencyWindow(capacity=64)
-        for value in values:
-            window.push(value)
-        stats = window.stats()
+        stats = window_stats(values)
         assert stats.p50_s <= stats.p90_s <= stats.p99_s
-
-    @given(
-        st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=60),
-        st.integers(min_value=1, max_value=40),
-    )
-    def test_window_stats_is_the_window_summary(self, values, capacity):
-        window = LatencyWindow(capacity=capacity)
-        for value in values:
-            window.push(value)
-        assert window_stats(values[-capacity:]) == window.stats()
 
 
 def fsum_window_stats(values):
@@ -412,14 +361,13 @@ class TestRollingMeanStd:
             assert_rolling_matches_oracle(x, window, replay, range(len(x)))
 
     def test_window_is_push_then_stats(self):
-        """The window at i is what LatencyWindow holds after pushing x[i];
+        """The window at i holds the last values up to and including x[i];
         the simulator reads it one index late, so index 0 sees no values."""
         x = np.array([1.0, 2.0, 3.0, 6.0])
         mean, std = rolling_mean_std(x, 2)
         assert mean.tolist() == [1.0, 1.5, 2.5, 4.5]
-        window = LatencyWindow(capacity=2)
-        for i, value in enumerate(x.tolist()):
-            stats = window.push(value).stats()
+        for i in range(len(x)):
+            stats = window_stats(x[max(0, i - 1) : i + 1].tolist())
             assert (mean[i], std[i]) == (stats.mean_s, stats.std_s)
         mean, std = read_as(False, rolling_mean_std, x, 2)
         assert mean.tolist() == [0.0, 1.0, 1.5, 2.5]
@@ -428,9 +376,30 @@ class TestRollingMeanStd:
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_one_value_windows_read_std_0_for_a_non_finite_value(self, value):
         x = np.array([value, 1.0, 2.0])
-        with np.errstate(invalid="ignore"):
-            assert rolling_mean_std(x, 1)[1].tolist() == [0.0, 0.0, 0.0]
-            assert rolling_mean_std(x, 3)[1][0] == 0.0
+        assert rolling_mean_std(x, 1)[1].tolist() == [0.0, 0.0, 0.0]
+        assert rolling_mean_std(x, 3)[1][0] == 0.0
+
+    @pytest.mark.parametrize("window", [1, 3, 256, ROLLING_BLOCK + 1])
+    def test_non_finite_values_read_quietly_and_only_in_their_windows(self, window):
+        """No RuntimeWarning; a window that holds inf, -inf or NaN reads a
+        non-finite mean and (past one value) a NaN std, and every other window
+        is bit for bit the window of the same values with 1.0 in their place."""
+        bad = {4_095: np.inf, 10_001: -np.inf, 16_384: np.nan}
+        finite = np.random.default_rng(45).lognormal(np.log(1.4), 0.6, size=20_000)
+        finite[list(bad)] = 1.0
+        x = finite.copy()
+        x[list(bad)] = list(bad.values())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, std = rolling_mean_std(x, window)
+        holds = np.zeros(len(x), dtype=bool)
+        for i in bad:
+            holds[i : i + window] = True
+        assert not np.isfinite(mean[holds]).any()
+        assert np.isnan(std[holds]).all() if window > 1 else not std.any()
+        want_mean, want_std = rolling_mean_std(finite, window)
+        assert mean[~holds].tobytes() == want_mean[~holds].tobytes()
+        assert std[~holds].tobytes() == want_std[~holds].tobytes()
 
     def test_stable_at_a_million_values_under_a_large_shift(self):
         x = 1000.0 + np.random.default_rng(1).lognormal(np.log(1.4), 0.52, size=1_000_000)

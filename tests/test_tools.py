@@ -1,6 +1,7 @@
 """Tests of the repository tools under ``tools/``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -15,19 +16,37 @@ def load_tool(name):
     return module
 
 
-@pytest.mark.parametrize("pairs", ["1", "0"])
-def test_bench_pairs_rejects_fewer_than_two_pairs(tmp_path, monkeypatch, capsys, pairs):
-    """Quartiles need two runs a side, so too few pairs is a usage error before any work."""
+def bench_pairs_usage_error(tmp_path, monkeypatch, capsys, flags):
+    """The stderr of ``bench_pairs`` with ``flags``, which must exit 2 before any
+    ``git`` call or export and write no ``--out``."""
     bench_pairs = load_tool("bench_pairs")
 
     def no_work(*args):
-        raise AssertionError(f"ran {args} before rejecting --pairs {pairs}")
+        raise AssertionError(f"ran {args} before rejecting {flags}")
 
     monkeypatch.setattr(bench_pairs, "git", no_work)
     monkeypatch.setattr(bench_pairs, "export", no_work)
+    monkeypatch.chdir(TOOLS.parent)  # the tool reads ./BENCHMARK.json
     out = tmp_path / "bench.json"
     with pytest.raises(SystemExit) as exc:
-        bench_pairs.main(["HEAD~1", "HEAD", "--pairs", pairs, "--out", str(out)])
+        bench_pairs.main(["HEAD~1", "HEAD", *flags, "--out", str(out)])
     assert exc.value.code == 2
-    assert f"--pairs must be >= 2, got {pairs}" in capsys.readouterr().err
     assert not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pairs", ["1", "0"])
+def test_bench_pairs_rejects_fewer_than_two_pairs(tmp_path, monkeypatch, capsys, pairs):
+    """Quartiles need two runs a side, so too few pairs is a usage error before any work."""
+    err = bench_pairs_usage_error(tmp_path, monkeypatch, capsys, ["--pairs", pairs])
+    assert f"--pairs must be >= 2, got {pairs}" in err
+
+
+def test_bench_pairs_rejects_an_unknown_workload(tmp_path, monkeypatch, capsys):
+    """A misspelt workload is a usage error that lists the known names, before
+    any pairs of the valid workloads named ahead of it run."""
+    known = [w["name"] for w in json.loads((TOOLS.parent / "BENCHMARK.json").read_text())["workloads"]]
+    flags = ["--workload", known[0], "--workload", "slo_100K"]
+    err = bench_pairs_usage_error(tmp_path, monkeypatch, capsys, flags)
+    assert "invalid choice: 'slo_100K'" in err
+    assert all(name in err.split("choose from", 1)[1] for name in known)

@@ -85,21 +85,23 @@ def pairs(parent: list, change: list, metrics: dict) -> dict:
 
 
 def main(argv=None) -> int:
+    benchmark = json.loads(Path("BENCHMARK.json").read_text())
+    known = [w["name"] for w in benchmark["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--pairs", type=int, default=10, help="at least 2, for the quartiles")
     parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--workload", action="append", help="default: every workload of BENCHMARK.json")
+    parser.add_argument("--workload", action="append", choices=known,
+                        help="default: every workload of BENCHMARK.json")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     if args.pairs < 2:  # before any run: statistics.quantiles needs two runs a side
         parser.error(f"--pairs must be >= 2, got {args.pairs}")
 
-    benchmark = json.loads(Path("BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
-    workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
+    workloads = args.workload or known
     shas = {name: git("rev-parse", rev) for name, rev in (("parent", args.parent), ("change", args.change))}
     command = "python3 tools/bench_pairs.py " + " ".join(argv if argv is not None else sys.argv[1:])
     out = Path(args.out)
