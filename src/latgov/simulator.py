@@ -7,19 +7,16 @@ produce a repeat engagement. This module owns variate layout, the array
 simulation, aggregation and the experiment drivers (burst and policy
 comparison); the scenario and result types are in :mod:`latgov.config`.
 Policies simulated together (``--policy all``, :func:`run_burst`) share one
-pass: one draw, one window pass, one computation of trust, hazard and
-conversion probability, and one sort of the latencies for their
-:data:`telemetry.QUANTILES`, taken as soon as they are drawn and carried by
-each trace; each policy adds only its modes, its hazard multipliers and its
-outcome comparisons, and :func:`summarize_trace` summarizes its trace.
+pass (:func:`_pass`), which yields each stage's arrays or blocks as it makes
+them: the results count them as they come and keep only the trust array
+whole, and :func:`simulate_paths` joins them into a trace.
 
 Determinism: a run is a pure function of ``(config, seed)``. All random
 variates come from one seeded generator in four lanes of one value per
-session, each drawn whole in a fixed order (latency normals, patience
-exponentials, conversion uniforms, repeat uniforms) when the pass first uses
+session, in a fixed order (latency normals, patience exponentials,
+conversion uniforms, repeat uniforms), each drawn in blocks as the pass uses
 it (:func:`draw_variates`); session ``i`` always consumes slot ``i`` of each
-lane, so two policies compared under the same seed see identical per-session
-draws.
+lane, so two policies compared under the same seed see identical draws.
 
 Trust window: a session sees only earlier sessions, so session ``i`` perceives the
 :func:`telemetry.perceived_stream` window ending with session ``i - 1`` (one session
@@ -32,6 +29,7 @@ and only converted sessions can repeat.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Tuple
 
@@ -51,11 +49,7 @@ OUTCOME_MODEL = "survive-then-convert"
 @dataclass
 class SessionTrace:
     """Per-session arrays of one policy (for inspection and tests).
-
-    Traces of policies simulated in one pass share their ``latency_s``,
-    ``perceived_s`` and ``trust`` arrays: these do not depend on the policy.
-    ``latency_quantiles`` holds the nearest-rank ``QUANTILES`` of ``latency_s``, in order.
-    """
+    ``latency_quantiles`` holds the nearest-rank ``QUANTILES`` of ``latency_s``, in order."""
 
     latency_s: np.ndarray
     perceived_s: np.ndarray
@@ -84,13 +78,14 @@ class SessionOutcome:
     repeated: bool
 
 
-def draw_variates(rng: np.random.Generator, n: int) -> Iterator[np.ndarray]:
-    """The four per-session variate lanes, in their fixed draw order; each is
-    drawn when the caller takes it, so a lane can be freed before the next."""
-    yield rng.standard_normal(n)
-    yield rng.standard_exponential(n)
-    yield rng.random(n)
-    yield rng.random(n)
+def draw_variates(rng: np.random.Generator, n: int) -> Iterator[Iterator[np.ndarray]]:
+    """The four per-session variate lanes, in their fixed draw order, each as its
+    :data:`telemetry.ROLLING_BLOCK`-session blocks, drawn when the caller takes them.
+    A ``Generator`` draws k values then m values as it draws k + m, so the blocks of
+    a lane join to its whole draw."""
+    sizes = [min(ROLLING_BLOCK, n - start) for start in range(0, n, ROLLING_BLOCK)]
+    for draw in (rng.standard_normal, rng.standard_exponential, rng.random, rng.random):
+        yield map(draw, sizes)
 
 
 def simulate_session(
@@ -141,110 +136,108 @@ def simulate_session(
     return outcome, next_gov
 
 
-def _simulate_policies(cfg: SimConfig, kinds: Tuple[str, ...]) -> Dict[str, SessionTrace]:
-    """Simulate every session under each policy in ``kinds`` from one shared pass.
-
-    The variate lanes, latencies, perceived latency, trust, hazard and conversion
-    probability do not depend on the policy, so they are computed once. Each policy
-    adds only its mode array (for ``letw``, :func:`governor.modes` over the whole
-    stream), the hazard multiplier and the outcome comparisons. Lanes are taken one
-    at a time: patience decides each policy's abandonment, and each uniform lane is
-    reduced to its policy-independent boolean (``u_convert < P_conv``,
-    ``u_repeat < engagement_ceiling * trust``) before the next is drawn. The work
-    on each lane runs in blocks of :data:`telemetry.ROLLING_BLOCK` sessions. The
-    latency quantiles are taken right after the draw, so their sort's copy is freed
-    before perceived latency, trust and the later lanes are allocated.
+def _pass(cfg: SimConfig, kinds: Tuple[str, ...]) -> Iterator[Tuple[str, str, object]]:
+    """Simulate every session under each policy in ``kinds`` in one shared pass, yielding
+    ``(field, kind, value)`` for the :class:`SessionTrace` fields as each stage makes them
+    (``kind`` is ``""`` for those all policies share). Only the modes, hazard multipliers and
+    outcome comparisons are per policy. Lanes are taken in :data:`telemetry.ROLLING_BLOCK`
+    blocks, and the outcomes are yielded a block at a time, each block a new array. Latencies
+    and modes are freed after the patience lane, perceived latency after the conversion lane.
     """
-    n = cfg.sessions
-    params = cfg.params
-    lanes = iter(draw_variates(np.random.default_rng(cfg.seed), n))
+    n, params = cfg.sessions, cfg.params
+    blocks = [slice(start, start + ROLLING_BLOCK) for start in range(0, n, ROLLING_BLOCK)]
+    lanes = draw_variates(np.random.default_rng(cfg.seed), n)
+    latencies = np.empty(n)
     with np.errstate(over="ignore"):  # checked below: no window holds the last latency
-        latencies = cfg.rail.latency(next(lanes))
+        for b, z in zip(blocks, next(lanes)):
+            latencies[b] = cfg.rail.latency(z)
     if not np.isfinite(latencies).all():
         raise ValueError("latencies overflow a float; lower the rail's mu_log, sigma_log or shift_s")
     ordered = np.sort(latencies)
-    quantiles = tuple(nearest_rank(ordered, q) for q in QUANTILES.values())
+    yield "latency_quantiles", "", tuple(nearest_rank(ordered, q) for q in QUANTILES.values())
     del ordered
     perceived = np.empty(n)
     perceived[:1] = 0.0  # one session late: see the module docstring
     perceived_stream(latencies[:-1], cfg.window_capacity, params.k, out=perceived[1:])
-
-    mode, transitions = {}, dict.fromkeys(kinds, 0)
+    yield "latency_s", "", latencies
+    yield "perceived_s", "", perceived
+    mode = {}
     for kind in kinds:
+        transitions = 0
         if kind == "letw":
-            mode[kind], transitions[kind] = modes(perceived, params)
+            mode[kind], transitions = modes(perceived, params)
         elif kind == "static_messaging":
             mode[kind] = (latencies > cfg.policy.static_threshold_s).view(np.int8)
         else:
             mode[kind] = np.zeros(n, dtype=np.int8)
-    blocks = [slice(start, start + ROLLING_BLOCK) for start in range(0, n, ROLLING_BLOCK)]
+        yield "mode", kind, mode[kind]
+        yield "governor_transitions", kind, transitions
     multipliers = np.array(cfg.mitigation.multipliers)
+    kept = {kind: np.empty(n, dtype=np.bool_) for kind in kinds}  # abandoned, then converted
+    for b, patience in zip(blocks, next(lanes)):
+        with np.errstate(divide="ignore", over="ignore"):  # a zero hazard never abandons
+            hazard = abandonment_hazard(perceived[b], params)
+            gone = [patience / (multipliers[mode[kind][b]] * hazard) < latencies[b] for kind in kinds]
+        for kind, block in zip(kinds, gone):
+            kept[kind][b] = block
+            yield "abandoned", kind, block
+    del latencies, mode
     trust = np.empty(n)
-    abandoned = {kind: np.empty(n, dtype=np.bool_) for kind in kinds}
-    lane = next(lanes)  # patience
-    with np.errstate(divide="ignore", over="ignore"):  # a zero hazard never abandons
-        for b in blocks:
-            lp = perceived[b]
-            trust[b] = trust_score(lp, params)
-            hazard = abandonment_hazard(lp, params)
-            for kind in kinds:
-                rate = multipliers[mode[kind][b]] * hazard
-                np.less(lane[b] / rate, latencies[b], out=abandoned[kind][b])
-    del lane
-    convertible = np.empty(n, dtype=np.bool_)
-    lane = next(lanes)
-    for b in blocks:
-        np.less(lane[b], context_conversion(perceived[b], cfg.ctx, params), out=convertible[b])
-    del lane
-    engages = np.empty(n, dtype=np.bool_)
-    lane = next(lanes)
-    for b in blocks:
-        np.less(lane[b], cfg.engagement_ceiling * trust[b], out=engages[b])
-    del lane
-    traces = {}
-    for kind in kinds:
-        converted = ~abandoned[kind] & convertible
-        traces[kind] = SessionTrace(
-            latencies, perceived, trust, mode[kind], abandoned[kind], converted,
-            converted & engages, transitions[kind], quantiles,
-        )
-    return traces
+    for b, u_convert in zip(blocks, next(lanes)):
+        trust[b] = trust_score(perceived[b], params)
+        convertible = u_convert < context_conversion(perceived[b], cfg.ctx, params)
+        for kind in kinds:
+            kept[kind][b] = block = convertible & ~kept[kind][b]
+            yield "converted", kind, block
+    del perceived
+    for b, u_repeat in zip(blocks, next(lanes)):
+        engages = u_repeat < cfg.engagement_ceiling * trust[b]
+        for kind in kinds:
+            yield "repeated", kind, kept[kind][b] & engages
+    yield "trust", "", trust
 
 
 def simulate_paths(cfg: SimConfig) -> SessionTrace:
-    """Simulate every session under ``cfg.policy`` and return per-session arrays."""
-    return _simulate_policies(cfg, (cfg.policy.kind,))[cfg.policy.kind]
+    """Simulate every session under ``cfg.policy``; the pass's blocks of each field, joined."""
+    got: Dict[str, list] = {}
+    for field, _, value in _pass(cfg, (cfg.policy.kind,)):
+        got.setdefault(field, []).append(value)
+    return SessionTrace(**{f: np.concatenate(v) if isinstance(v[0], np.ndarray) else v[0]
+                           for f, v in got.items()})
 
 
-def summarize_trace(trace: SessionTrace) -> SimResult:
-    """The aggregate result of one trace. Its latency quantiles were taken in the
-    pass, so no whole-length copy is made here."""
-    n = len(trace)
-    return SimResult(
-        conversion_rate=float(np.count_nonzero(trace.converted)) / n,
-        abandonment_rate=float(np.count_nonzero(trace.abandoned)) / n,
-        repeat_rate=float(np.count_nonzero(trace.repeated)) / n,
-        mean_trust=float(np.mean(trace.trust)),
-        mode_shares=mode_shares(trace.mode),
-        **{f"latency_{q}": v for q, v in zip(QUANTILES, trace.latency_quantiles)},
-    )
+_RATES = {"abandoned": "abandonment_rate", "converted": "conversion_rate", "repeated": "repeat_rate"}
+
+
+def _results(cfg: SimConfig, kinds: Tuple[str, ...]) -> Dict[str, SimResult]:
+    """The :class:`SimResult` of each policy in ``kinds``, summarized as :func:`_pass` runs."""
+    counts, shares, shared = {kind: Counter() for kind in kinds}, {}, {}
+    for field, kind, value in _pass(cfg, kinds):
+        if field in _RATES:
+            counts[kind][field] += int(np.count_nonzero(value))
+        elif field == "mode":
+            shares[kind] = mode_shares(value)
+        elif field == "trust":
+            shared["mean_trust"] = float(np.mean(value))
+        elif field == "latency_quantiles":
+            shared.update(zip((f"latency_{q}" for q in QUANTILES), value))
+    rates = {kind: {r: counts[kind][f] / cfg.sessions for f, r in _RATES.items()} for kind in kinds}
+    return {kind: SimResult(mode_shares=shares[kind], **rates[kind], **shared) for kind in kinds}
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:
     """Simulate ``cfg.sessions`` sessions; deterministic per (config, seed)."""
-    return summarize_trace(simulate_paths(cfg))
+    return _results(cfg, (cfg.policy.kind,))[cfg.policy.kind]
 
 
 def run_burst(base: SimConfig, burst_rail: RailDistribution) -> Tuple[SimResult, SimResult]:
     """Run the congested regime ungoverned and governed under the same seed."""
-    traces = _simulate_policies(replace(base, rail=burst_rail), ("none", "letw"))
-    return summarize_trace(traces["none"]), summarize_trace(traces["letw"])
+    return tuple(_results(replace(base, rail=burst_rail), ("none", "letw")).values())
 
 
 def compare_policies(cfg: SimConfig) -> Dict[str, SimResult]:
     """Run all three policies under the same seed; keyed by policy kind."""
-    traces = _simulate_policies(cfg, POLICY_KINDS)
-    return {kind: summarize_trace(trace) for kind, trace in traces.items()}
+    return _results(cfg, POLICY_KINDS)
 
 
 def quantile_mode_report(cfg: SimConfig) -> List[QuantileModeRow]:

@@ -216,16 +216,20 @@ def event_to_json(event: TelemetryEvent) -> str:
     return json.dumps(event.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
+# What JSON counts as whitespace: a line is stripped of these and no more.
+JSON_WS = " \t\r\n"
+
+
 def iter_events(
     lines: Iterable[str], skip_bad: bool = False, start: int = 1
 ) -> Iterator[TelemetryEvent]:
     """Yield events from JSONL lines, the first numbered ``start``; blank lines
-    are skipped but counted.
+    (only :data:`JSON_WS`) are skipped but counted.
 
     With ``skip_bad`` malformed lines are dropped instead of raising.
     """
     for lineno, raw in enumerate(lines, start=start):
-        raw = raw.strip()
+        raw = raw.strip(JSON_WS)
         if not raw:
             continue
         try:
@@ -269,7 +273,7 @@ def _valid_chunk(lines: List[str]) -> Optional[Dict[str, Sequence]]:
         "".join(lines).encode("utf-8")  # undecodable bytes arrive as lone surrogates
     except UnicodeEncodeError:
         return None
-    text = list(filter(None, map(str.strip, lines)))
+    text = list(filter(None, map(str.strip, lines, repeat(JSON_WS))))
     if not text:
         return {}
     try:

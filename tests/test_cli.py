@@ -646,8 +646,9 @@ class TestBadInputEndsCleanly:
         assert runs[0][0] == 0 and "n=2" in runs[0][1]
 
     def test_out_of_memory(self, monkeypatch):
-        def exhausted(rng, n):
+        def exhausted(rng, n):  # a generator, as draw_variates is: it fails when a lane is taken
             raise MemoryError("Unable to allocate 763. MiB")
+            yield
 
         monkeypatch.setattr("latgov.simulator.draw_variates", exhausted)
         code, _, stderr, _ = run_quietly(["simulate", "--sessions", "100"])
@@ -710,6 +711,24 @@ class TestTelemetryInput:
         assert expected[0] == 0
         assert got[:3] == expected[:3]
         assert dirty_out.read_bytes() == clean_out.read_bytes()
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x1c", "\x85", "\xa0", "\u2028"])
+    @pytest.mark.parametrize("command", TELEMETRY_COMMANDS)
+    def test_only_json_whitespace_is_stripped(self, tmp_path, command, char):
+        """A character str.strip() takes and JSON does not count as whitespace makes a
+        bad line, after an event or alone."""
+        events = [make_event(f"s{i}", 1.0 + i / 10) for i in range(3)]
+        clean = tmp_path / "clean.jsonl"
+        clean.write_text(f"{events[0]}\n{events[2]}\n")
+        want = run_quietly([command, "--telemetry", str(clean)])[:3]
+        assert want[0] == 0
+        for line in (events[1] + char, char):
+            path = tmp_path / "t.jsonl"
+            path.write_text(f"{events[0]}\n{line}\n{events[2]}\n", encoding="utf-8")
+            code, stdout, stderr, _ = run_quietly([command, "--telemetry", str(path)])
+            assert (code, stdout) == (2, "")
+            assert stderr.startswith("error: line 2: malformed JSON: ") and stderr.count("\n") == 1
+            assert run_quietly([command, "--telemetry", str(path), "--skip-bad"])[:3] == want
 
     @pytest.mark.parametrize("flags", [[], ["--skip-bad"]], ids=["strict", "skip_bad"])
     @pytest.mark.parametrize("command", TELEMETRY_COMMANDS)

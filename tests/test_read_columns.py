@@ -47,7 +47,7 @@ def good(i, **fields):
 
 def is_event(line):
     try:
-        parse_event(line.strip())
+        parse_event(line.strip(" \t\r\n"))
     except TelemetryError:
         return False
     return True
@@ -243,13 +243,15 @@ class TestReadColumns:
         # Under --skip-bad the bad lines are dropped: the output of the clean file.
         assert runs["skip_bad"] == runs["clean"]
         assert runs["clean"][0] == 0
-        bad = [n for n, line in enumerate(lines, start=1) if line.strip() and not is_event(line)]
+        bad = [
+            n for n, line in enumerate(lines, start=1) if line.strip(" \t\r\n") and not is_event(line)
+        ]
         if not bad:
             assert runs["strict"] == runs["clean"]
             return
         # Strictly: the first bad line's parse_event message, numbered as in the file.
         with pytest.raises(TelemetryError) as first:
-            parse_event(lines[bad[0] - 1].strip(), bad[0])
+            parse_event(lines[bad[0] - 1].strip(" \t\r\n"), bad[0])
         assert runs["strict"] == (2, "", f"error: {first.value}\n", None)
         assert str(first.value).startswith(f"line {bad[0]}: ")
 
@@ -342,13 +344,13 @@ def reference_read(data, skip_bad):
     """(all of COLUMNS, None), or (None, the first error's message) when not
     ``skip_bad``, by a reference reader of the file's bytes: lines end at
     the newline byte only, a leading BOM is dropped, a line must be strict UTF-8, and a
-    stripped line that is blank is skipped."""
+    line left empty by stripping JSON whitespace (space, tab, CR, LF) is skipped."""
     if data.startswith(codecs.BOM_UTF8):
         data = data[len(codecs.BOM_UTF8) :]
     events = []
     for lineno, raw in enumerate(data.split(b"\n"), start=1):
         try:
-            text = raw.decode("utf-8").strip()
+            text = raw.decode("utf-8").strip(" \t\r\n")
             if not text:
                 continue
             try:
@@ -389,8 +391,8 @@ EDITS = st.lists(
 
 
 # Edits that the search may miss, each once: a byte that is not UTF-8 inside a
-# string of a chunk that is otherwise good, a line end that str.strip() takes
-# and JSON does not, a second BOM, and a bare \r that joins two lines.
+# string of a chunk that is otherwise good, a line end that str.strip() would
+# take and JSON does not, a second BOM, and a bare \r that joins two lines.
 _IN_AN_ID = FUZZ_BASE.index(b'"g0009"') + 3
 
 

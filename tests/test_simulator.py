@@ -9,7 +9,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
-from latgov.governor import GovernorState, Mode, step
+from latgov.governor import GovernorState, Mode, mode_shares, step
 from latgov import simulator
 from latgov.model import ContextProfile, ModelParams, sigmoid
 from latgov.simulator import (
@@ -27,7 +27,6 @@ from latgov.simulator import (
     run_simulation,
     simulate_paths,
     simulate_session,
-    summarize_trace,
 )
 from latgov.telemetry import ROLLING_BLOCK, WindowStats, nearest_rank, perceived_stream
 
@@ -286,10 +285,7 @@ class TestPolicyCoupling:
         # Per-session: anything abandoned under the stronger mitigation is
         # also abandoned under the weaker one.
         assert np.all(t_weak.abandoned | ~t_strong.abandoned)
-        assert (
-            summarize_trace(t_strong).abandonment_rate
-            <= summarize_trace(t_weak).abandonment_rate
-        )
+        assert run_simulation(strong).abandonment_rate <= run_simulation(weak).abandonment_rate
 
 
 class TestDirections:
@@ -411,13 +407,29 @@ def test_sessions_read_the_window_one_session_late(sessions, window):
     assert np.array_equal(trace.perceived_s[1:], want)
 
 
-def test_lanes_are_drawn_in_order_each_when_taken():
+@pytest.mark.parametrize("draw", ["standard_normal", "standard_exponential", "random"])
+@pytest.mark.parametrize("n", [1, ROLLING_BLOCK, ROLLING_BLOCK + 1, 3 * ROLLING_BLOCK + 7])
+def test_block_draws_join_to_one_draw(draw, n):
+    """The fact the lanes' byte identity rests on: a Generator draws k values then m
+    values exactly as it draws k + m, and ends in the same state."""
+    blocks, whole = np.random.default_rng(12), np.random.default_rng(12)
+    sizes = [min(ROLLING_BLOCK, n - start) for start in range(0, n, ROLLING_BLOCK)]
+    joined = np.concatenate([getattr(blocks, draw)(size) for size in sizes])
+    assert joined.tobytes() == getattr(whole, draw)(n).tobytes()
+    assert blocks.bit_generator.state == whole.bit_generator.state
+
+
+def test_lanes_are_drawn_in_order_each_block_when_taken():
+    n = 2 * ROLLING_BLOCK + 5
     rng, fresh = np.random.default_rng(8), np.random.default_rng(8)
-    lanes = draw_variates(rng, 1000)
-    assert rng.bit_generator.state == fresh.bit_generator.state  # nothing drawn yet
+    lanes = draw_variates(rng, n)
     for draw in (fresh.standard_normal, fresh.standard_exponential, fresh.random, fresh.random):
-        assert np.array_equal(next(lanes), draw(1000))
-        assert rng.bit_generator.state == fresh.bit_generator.state  # one lane at a time
+        lane = next(lanes)
+        assert rng.bit_generator.state == fresh.bit_generator.state  # nothing drawn yet
+        for size in (ROLLING_BLOCK, ROLLING_BLOCK, 5):
+            assert np.array_equal(next(lane), draw(size))
+            assert rng.bit_generator.state == fresh.bit_generator.state  # one block at a time
+        assert next(lane, None) is None
     assert next(lanes, None) is None
 
 
@@ -427,7 +439,7 @@ def test_overflow_in_the_last_latency_is_rejected(monkeypatch):
     def lanes(rng, n):
         latency_z = np.zeros(n)
         latency_z[-1] = 1e4  # exp(0.52 * 1e4) overflows
-        return latency_z, np.ones(n), np.full(n, 0.5), np.full(n, 0.5)
+        return iter([[latency_z], [np.ones(n)], [np.full(n, 0.5)], [np.full(n, 0.5)]])
 
     monkeypatch.setattr("latgov.simulator.draw_variates", lanes)
     with pytest.raises(ValueError, match="latencies overflow a float"):
@@ -475,15 +487,25 @@ def test_policies_share_one_draw_and_one_window_pass(monkeypatch):
 
         return wrapper
 
-    for name in ("draw_variates", "perceived_stream"):
-        monkeypatch.setattr(simulator, name, counted(name))
+    def counted_blocks(lane):
+        calls["lanes"] += 1
+        for block in lane:
+            calls["blocks"] += 1
+            yield block
+
+    def counted_lanes(rng, n):
+        calls["draw_variates"] += 1
+        return map(counted_blocks, draw_variates(rng, n))
+
+    monkeypatch.setattr(simulator, "perceived_stream", counted("perceived_stream"))
+    monkeypatch.setattr(simulator, "draw_variates", counted_lanes)
     cfg = SimConfig(sessions=ROLLING_BLOCK + 7, seed=5, rail=NEAR_BUDGET_RAIL)
+    want = {"draw_variates": 1, "lanes": 4, "blocks": 4 * 2, "perceived_stream": 1}
     compare_policies(cfg)
-    assert calls == {"draw_variates": 1, "perceived_stream": 1}
+    assert calls == want
     calls.clear()
     run_burst(cfg, BURST_RAIL)
-    assert calls == {"draw_variates": 1, "perceived_stream": 1}
-
+    assert calls == want
 
 
 def sorted_quantiles(latencies):
@@ -505,20 +527,36 @@ def test_carried_quantiles_are_nearest_rank_of_the_sorted_latencies(sessions):
         assert (result.latency_p50, result.latency_p90, result.latency_p99) == quantiles
 
 
-def test_summary_pass_makes_no_whole_length_copy():
-    """Summarising a pass allocates at most one byte per session (a mode comparison)."""
-    n = 200_000
-    traces = list(
-        simulator._simulate_policies(SimConfig(sessions=n, seed=3), POLICY_KINDS).values()
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+@pytest.mark.parametrize("sessions, window", [(1, 256), (ROLLING_BLOCK, 7), (2 * ROLLING_BLOCK + 9, 256)])
+def test_trace_and_result_are_folds_of_one_pass(kind, sessions, window):
+    cfg = SimConfig(
+        sessions=sessions, seed=31, rail=NEAR_BUDGET_RAIL, window_capacity=window,
+        policy=PolicySpec(kind=kind),
     )
+    trace, result = simulate_paths(cfg), run_simulation(cfg)
+    assert len(trace) == sessions
+    assert result.conversion_rate == np.count_nonzero(trace.converted) / sessions
+    assert result.abandonment_rate == np.count_nonzero(trace.abandoned) / sessions
+    assert result.repeat_rate == np.count_nonzero(trace.repeated) / sessions
+    assert result.mean_trust == float(np.mean(trace.trust))
+    assert result.mode_shares == mode_shares(trace.mode)
+    assert (result.latency_p50, result.latency_p90, result.latency_p99) == trace.latency_quantiles
+
+
+@pytest.mark.parametrize("run, budget", [(compare_policies, 24), (run_simulation, 21)])
+def test_pass_memory_budget(run, budget):
+    """The pass keeps only what the results need: bytes per session at its tracemalloc peak."""
+    n = 200_000
+    cfg = SimConfig(sessions=n, seed=3, policy=PolicySpec(kind="letw"))
+    run(cfg)  # first-call allocations are not the pass's
     tracemalloc.start()
     try:
-        for trace in traces:
-            summarize_trace(trace)
+        run(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * n, peak
+    assert peak <= budget * n, peak / n
 
 
 class TestQuantileModeReport:

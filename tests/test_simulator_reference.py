@@ -37,7 +37,9 @@ def assert_matches_session_reference(cfg):
     trace = simulate_paths(cfg)
 
     rng = np.random.default_rng(cfg.seed)
-    latency_z, patience, u_convert, u_repeat = draw_variates(rng, cfg.sessions)
+    latency_z, patience, u_convert, u_repeat = (
+        np.concatenate(list(lane)) for lane in draw_variates(rng, cfg.sessions)
+    )
     latencies = np.exp(cfg.rail.mu_log + cfg.rail.sigma_log * latency_z) + cfg.rail.shift_s
     assert np.array_equal(latencies, trace.latency_s)
 

@@ -50,3 +50,27 @@ def test_bench_pairs_rejects_an_unknown_workload(tmp_path, monkeypatch, capsys):
     err = bench_pairs_usage_error(tmp_path, monkeypatch, capsys, flags)
     assert "invalid choice: 'slo_100K'" in err
     assert all(name in err.split("choose from", 1)[1] for name in known)
+
+
+def test_bench_pairs_records_the_bytecode_variables(tmp_path, monkeypatch):
+    """Each file holds the bytecode variables' values, null when unset, and is added
+    to only under the same values."""
+    bench_pairs = load_tool("bench_pairs")
+    benchmark = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+    result = {"metrics": {m["name"]: {"value": 1.0} for m in benchmark["end_to_end"]},
+              "attempted": 1, "failed": 0, "correct": True}
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1] * 40)
+    monkeypatch.setattr(bench_pairs, "export", lambda sha, root: root / sha)
+    monkeypatch.setattr(bench_pairs, "run", lambda *args: result)
+    monkeypatch.chdir(TOOLS.parent)  # the tool reads ./BENCHMARK.json
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "pycache"))
+    out = tmp_path / "bench.json"
+    argv = ["a", "b", "--pairs", "2", "--workload", benchmark["workloads"][0]["name"], "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert json.loads(out.read_text())["bytecode_env"] == {
+        "PYTHONDONTWRITEBYTECODE": None, "PYTHONPYCACHEPREFIX": str(tmp_path / "pycache"),
+    }
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    with pytest.raises(SystemExit, match="was written under"):
+        bench_pairs.main(argv)

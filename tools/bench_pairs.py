@@ -15,7 +15,9 @@ An existing ``--out`` of the same two commits is added to, not replaced: the
 file's first seed keeps its workloads under ``workloads``, another seed's go
 under ``other_seeds``, and ``commands`` lists every invocation that wrote the
 file. The file is rewritten after every workload, so a cut run keeps what it
-finished.
+finished. ``bytecode_env`` records the values (null when unset) of the variables
+that decide whether the runs compile ``src`` again or read a bytecode cache; a
+file is added to only under the same values.
 """
 
 import argparse
@@ -27,6 +29,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+BYTECODE_VARS = ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")
 
 
 def git(*args: str) -> str:
@@ -104,11 +108,14 @@ def main(argv=None) -> int:
     workloads = args.workload or known
     shas = {name: git("rev-parse", rev) for name, rev in (("parent", args.parent), ("change", args.change))}
     command = "python3 tools/bench_pairs.py " + " ".join(argv if argv is not None else sys.argv[1:])
+    bytecode_env = {name: os.environ.get(name) for name in BYTECODE_VARS}
     out = Path(args.out)
     if out.exists():
         doc = json.loads(out.read_text())
         if (doc["parent_sha"], doc["change_sha"]) != (shas["parent"], shas["change"]):
             raise SystemExit(f"{out} holds other commits; name a new --out")
+        if doc.get("bytecode_env") != bytecode_env:
+            raise SystemExit(f"{out} was written under {doc.get('bytecode_env')}; name a new --out")
         doc["commands"].append(command)
     else:
         numpy_version = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
@@ -124,6 +131,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": numpy_version,
             "nproc": os.cpu_count(),
+            "bytecode_env": bytecode_env,
             "seed": args.seed,
             "seconds": seconds,
             "workloads": {},
