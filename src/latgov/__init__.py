@@ -58,7 +58,7 @@ from .config import Mitigation, PolicySpec, RailDistribution, SimConfig, SimResu
 __version__ = "0.1.0"
 
 _SIMULATOR_NAMES = frozenset(
-    {"compare_policies", "quantile_mode_report", "run_burst", "run_simulation", "simulate_session"}
+    {"compare_policies", "quantile_mode_report", "run_burst", "run_simulation"}
 )
 
 

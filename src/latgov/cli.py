@@ -347,6 +347,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
             fitted["lambda0"] = calibrate_lambda0(latency, median, args.gamma)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+    try:  # a fit the model's bounds reject could not be used as a --config
+        ModelParams(**fitted, **({"gamma": args.gamma} if args.hazard_anchor else {}))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     _write_out(args.out, fitted)
     for name, value in fitted.items():
         print(f"{name}={value:.6f}")

@@ -6,10 +6,12 @@ latency, converts with the jitter-penalized logistic probability, and may
 produce a repeat engagement. This module owns variate layout, the array
 simulation, aggregation and the experiment drivers (burst and policy
 comparison); the scenario and result types are in :mod:`latgov.config`.
-Policies simulated together (``--policy all``, :func:`run_burst`) share one
-pass (:func:`_pass`), which yields each stage's arrays or blocks as it makes
-them: the results count them as they come and keep only the trust array
-whole, and :func:`simulate_paths` joins them into a trace.
+:func:`_pass` is the library's only implementation of a session; the tests
+check it against a scalar one-session reference in ``tests/reference.py``.
+Policies simulated together (``--policy all``, :func:`run_burst`) share that
+one pass, which yields each stage's arrays or blocks as it makes them: the
+results count them as they come and keep only the trust array whole, and
+:func:`simulate_paths` joins them into a trace.
 
 Determinism: a run is a pure function of ``(config, seed)``. All random
 variates come from one seeded generator in four lanes of one value per
@@ -39,16 +41,16 @@ from .config import (  # NumPy-free; callers may import these names from here to
     POLICY_KINDS, Mitigation, PolicySpec, QuantileModeRow, RailDistribution, SimConfig, SimResult,
     quantile_mode_rows,
 )
-from .governor import GovernorState, Mode, mode_shares, modes, step
-from .model import abandonment_hazard, context_conversion, perceived_latency, trust_score
-from .telemetry import QUANTILES, ROLLING_BLOCK, WindowStats, nearest_rank, perceived_stream
+from .governor import mode_shares, modes
+from .model import abandonment_hazard, context_conversion, trust_score
+from .telemetry import QUANTILES, ROLLING_BLOCK, nearest_rank, perceived_stream
 
 OUTCOME_MODEL = "survive-then-convert"
 
 
 @dataclass
 class SessionTrace:
-    """Per-session arrays of one policy (for inspection and tests).
+    """Per-session arrays of one policy, as :func:`simulate_paths` joins them.
     ``latency_quantiles`` holds the nearest-rank ``QUANTILES`` of ``latency_s``, in order."""
 
     latency_s: np.ndarray
@@ -65,19 +67,6 @@ class SessionTrace:
         return int(self.latency_s.shape[0])
 
 
-@dataclass(frozen=True)
-class SessionOutcome:
-    """Result of one simulated session (reference path)."""
-
-    latency_s: float
-    perceived_s: float
-    trust: float
-    mode: Mode
-    abandoned: bool
-    converted: bool
-    repeated: bool
-
-
 def draw_variates(rng: np.random.Generator, n: int) -> Iterator[Iterator[np.ndarray]]:
     """The four per-session variate lanes, in their fixed draw order, each as its
     :data:`telemetry.ROLLING_BLOCK`-session blocks, drawn when the caller takes them.
@@ -86,54 +75,6 @@ def draw_variates(rng: np.random.Generator, n: int) -> Iterator[Iterator[np.ndar
     sizes = [min(ROLLING_BLOCK, n - start) for start in range(0, n, ROLLING_BLOCK)]
     for draw in (rng.standard_normal, rng.standard_exponential, rng.random, rng.random):
         yield map(draw, sizes)
-
-
-def simulate_session(
-    rng: np.random.Generator,
-    latency: float,
-    stats: WindowStats,
-    gov: GovernorState,
-    cfg: SimConfig,
-) -> Tuple[SessionOutcome, GovernorState]:
-    """Reference semantics for one session of :func:`simulate_paths`.
-
-    Draws exactly three variates in fixed order (patience exponential,
-    conversion uniform, repeat uniform) regardless of the outcome. Fed each session's slots
-    of the :func:`draw_variates` lanes, not a real generator, it matches the array path.
-    """
-    patience = rng.standard_exponential()
-    u_convert = rng.random()
-    u_repeat = rng.random()
-
-    lp = perceived_latency(stats.mean_s, stats.std_s, cfg.params.k)
-    if cfg.policy.kind == "none":
-        mode = Mode.INSTANT
-        next_gov = gov
-    elif cfg.policy.kind == "static_messaging":
-        mode = Mode.SOFT if latency > cfg.policy.static_threshold_s else Mode.INSTANT
-        next_gov = gov
-    else:
-        next_gov, decision = step(gov, lp, cfg.params)
-        mode = decision.mode
-
-    rate = cfg.mitigation.multipliers[mode.index] * abandonment_hazard(lp, cfg.params)
-    abandoned = rate > 0.0 and patience / rate < latency  # a zero hazard never abandons
-
-    trust = trust_score(lp, cfg.params)
-    converted = bool(
-        not abandoned and u_convert < context_conversion(lp, cfg.ctx, cfg.params)
-    )
-    repeated = bool(converted and u_repeat < cfg.engagement_ceiling * trust)
-    outcome = SessionOutcome(
-        latency_s=latency,
-        perceived_s=lp,
-        trust=trust,
-        mode=mode,
-        abandoned=bool(abandoned),
-        converted=converted,
-        repeated=repeated,
-    )
-    return outcome, next_gov
 
 
 def _pass(cfg: SimConfig, kinds: Tuple[str, ...]) -> Iterator[Tuple[str, str, object]]:

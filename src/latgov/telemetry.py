@@ -93,9 +93,6 @@ class TelemetryEvent(NamedTuple):
     region: Optional[str] = None
     device: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return {k: v for k, v in self._asdict().items() if v is not None}
-
 
 OPTIONAL_FIELDS = tuple(TelemetryEvent._field_defaults)
 REQUIRED_FIELDS = tuple(f for f in TelemetryEvent._fields if f not in OPTIONAL_FIELDS)
@@ -209,11 +206,6 @@ def parse_event(line: str, lineno: Optional[int] = None) -> TelemetryEvent:
     except (ValueError, RecursionError) as exc:  # a hook's error, or nested too deep
         raise TelemetryParseError(f"malformed JSON: {exc}", lineno) from exc
     return event_from_dict(doc, lineno)
-
-
-def event_to_json(event: TelemetryEvent) -> str:
-    """Serialize an event back to its wire form (lossless round trip)."""
-    return json.dumps(event.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 # What JSON counts as whitespace: a line is stripped of these and no more.

@@ -462,6 +462,22 @@ class TestFit:
         assert len([line for line in stderr.splitlines() if "error:" in line]) == 1, stderr
         assert not any(token in stderr.lower() for token in ("nan", "inf")), stderr
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["--points", "1:0.3,2:0.5"], "beta"),
+            (["--hazard-anchor", "1:7", "--gamma", "-1"], "gamma"),
+        ],
+        ids=["rising_points", "negative_gamma"],
+    )
+    def test_fit_the_model_rejects_writes_nothing(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "fit.json"
+        assert main(["fit", *argv, "--out", str(out)]) == 2
+        stderr = capsys.readouterr().err
+        assert len(stderr.splitlines()) == 1, stderr
+        assert stderr.startswith(f"error: {field} must be >= 0, got -"), stderr
+        assert not out.exists()
+
     def test_nothing_to_fit(self, capsys):
         assert main(["fit"]) == 2
         assert "nothing to fit" in capsys.readouterr().err

@@ -81,9 +81,11 @@ def test_simulator_names_resolve_from_the_package():
     from latgov import run_simulation, simulator
 
     assert run_simulation is simulator.run_simulation
-    assert latgov.compare_policies is simulator.compare_policies
-    with pytest.raises(AttributeError, match="no attribute 'nope'"):
-        latgov.nope
+    for name in latgov._SIMULATOR_NAMES:  # a name moved out of the simulator cannot stay listed
+        assert getattr(latgov, name) is getattr(simulator, name), name
+    for gone in ("nope", "simulate_session"):
+        with pytest.raises(AttributeError, match=f"no attribute '{gone}'"):
+            getattr(latgov, gone)
 
 
 def test_config_types_are_the_simulators():

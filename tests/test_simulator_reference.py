@@ -1,5 +1,6 @@
-"""The array simulator against the per-session reference path: window
-stats over prior sessions, then mode, then the outcome draws."""
+"""The array simulator against the scalar one-session reference in
+``reference.py``: window stats over prior sessions, then mode, then the
+outcome draws."""
 
 import numpy as np
 import pytest
@@ -15,22 +16,9 @@ from latgov.simulator import (
     SimConfig,
     draw_variates,
     simulate_paths,
-    simulate_session,
 )
 from latgov.telemetry import window_stats
-
-
-class _LaneRng:
-    """Feeds one session's pre-drawn variates in the documented order."""
-
-    def __init__(self, patience, u_convert, u_repeat):
-        self._queue = [patience, u_convert, u_repeat]
-
-    def standard_exponential(self):
-        return self._queue.pop(0)
-
-    def random(self):
-        return self._queue.pop(0)
+from reference import simulate_session
 
 
 def assert_matches_session_reference(cfg):
@@ -45,9 +33,9 @@ def assert_matches_session_reference(cfg):
 
     gov = GovernorState()
     for i in range(cfg.sessions):
-        lane = _LaneRng(float(patience[i]), float(u_convert[i]), float(u_repeat[i]))
         stats = window_stats(latencies[max(0, i - cfg.window_capacity) : i].tolist())
-        outcome, gov = simulate_session(lane, float(latencies[i]), stats, gov, cfg)
+        lanes = (float(lane[i]) for lane in (latencies, patience, u_convert, u_repeat))
+        outcome, gov = simulate_session(*lanes, stats, gov, cfg)
         assert outcome.mode.index == trace.mode[i], i
         assert outcome.abandoned == trace.abandoned[i], i
         assert outcome.converted == trace.converted[i], i

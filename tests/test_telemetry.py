@@ -31,7 +31,6 @@ from latgov.telemetry import (
     WindowStats,
     confirmation_latency,
     event_from_dict,
-    event_to_json,
     iter_events,
     json_types,
     nearest_rank,
@@ -43,6 +42,7 @@ from latgov.telemetry import (
     slo_track,
     window_stats,
 )
+from reference import event_to_json, fsum_window_stats
 
 GOOD_LINE = json.dumps(
     {
@@ -295,17 +295,6 @@ class TestWindowStats:
     def test_quantile_ordering(self, values):
         stats = window_stats(values)
         assert stats.p50_s <= stats.p90_s <= stats.p99_s
-
-
-def fsum_window_stats(values):
-    """Two-pass mean and sample std over math.fsum; (0, 0) for no values."""
-    n = len(values)
-    if n == 0:
-        return 0.0, 0.0
-    mean = math.fsum(values) / n
-    if n == 1:
-        return mean, 0.0
-    return mean, math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
 
 
 def read_as(replay, window_fn, x, *args):
