@@ -8,6 +8,8 @@ parses from the wire. The tests compare the library against these.
 - :func:`event_to_json` is an event's wire form, for the parse round trip.
 - :func:`fsum_window_stats` is a window's mean and std over ``math.fsum``, for
   :func:`latgov.telemetry.rolling_mean_std`.
+- :func:`oracle_stats` is a window's textbook mean and std with its nearest-rank
+  quantiles, for :func:`latgov.telemetry.window_stats`.
 """
 
 import json
@@ -91,3 +93,17 @@ def fsum_window_stats(values):
     if n == 1:
         return mean, 0.0
     return mean, math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
+
+
+def oracle_stats(values):
+    """Textbook two-pass mean/std plus exact-rational nearest-rank quantiles."""
+    n = len(values)
+    mean = sum(values) / n
+    std = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1)) if n > 1 else 0.0
+    ordered = sorted(values)
+
+    def rank_quantile(q_num, q_den):
+        rank = -((-q_num * n) // q_den)  # ceil of the exact rational q * n
+        return ordered[rank - 1]
+
+    return mean, std, rank_quantile(1, 2), rank_quantile(9, 10), rank_quantile(99, 100)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import latgov
 from latgov.cli import main
 from latgov.governor import GovernorState, Reason, step
-from latgov.model import ContextProfile, ModelParams, context_conversion
+from latgov.model import ContextProfile, ModelParams, context_conversion, median_abandon_time
 from latgov.simulator import Mitigation, PolicySpec, RailDistribution, SimConfig, SimResult
 from latgov.telemetry import OPTIONAL_FIELDS, REQUIRED_FIELDS, SloConfig, reject_non_finite
 
@@ -428,6 +428,13 @@ class TestFit:
         code = main(["fit", "--hazard-anchor", "1:7", "--gamma", "0.38", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["lambda0"] == pytest.approx(0.067717, abs=1e-6)
+
+    def test_hazard_anchor_out_keeps_its_gamma(self, tmp_path):
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--hazard-anchor", "1:7", "--gamma", "1.0", "--out", str(out)]) == 0
+        params = ModelParams(**json.loads(out.read_text()))
+        assert params.gamma == 1.0
+        assert median_abandon_time(1.0, params) == pytest.approx(7.0, abs=1e-12)
 
     def test_flat_points(self, tmp_path):
         out = tmp_path / "fit.json"

@@ -1,4 +1,5 @@
-"""Which imports and commands load NumPy and the simulator.
+"""Which imports and commands load NumPy and the simulator, and what they
+leave to run at exit.
 
 ``slo``, ``report`` and ``fit`` do no array work, so they start without
 NumPy; only ``simulate`` and ``replay`` load it. Each case runs in a fresh
@@ -74,6 +75,40 @@ def test_loads_neither_numpy_nor_the_simulator(inputs, code):
 )
 def test_array_commands_load_numpy(inputs, argv, loaded):
     assert loaded_after(run_main(argv), inputs) == loaded
+
+
+def run_fresh(code):
+    """The last stdout line of ``code`` run in a fresh interpreter, decoded as JSON."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_registers_no_exit_callback():
+    # A library importer keeps the interpreter's own exit-time collection.
+    code = (
+        "import atexit\nbefore = atexit._ncallbacks()\nimport latgov, latgov.cli\n"
+        "print(atexit._ncallbacks() - before)"
+    )
+    assert run_fresh(code) == 0
+
+
+def test_main_registers_one_heap_freeze_however_often_it_runs():
+    # gc.freeze is swapped for a counter after the import, so a freeze registered
+    # at import is not counted; atexit runs last in, first out, so the report,
+    # registered before any main call, runs after every callback main added.
+    calls = "\n".join(
+        f"main({argv!r})" for argv in (["fit", "--hazard-anchor", "1:7"], [], ["fit"], ["fit", "-h"])
+    )
+    code = (
+        "import atexit, gc, json, sys\nfrom latgov.cli import main\nfreezes = []\n"
+        "atexit.register(lambda: print(json.dumps(len(freezes)), file=sys.__stdout__))\n"
+        f"gc.freeze = lambda: freezes.append(1)\n{calls}"
+    )
+    assert run_fresh(code) == 1
 
 
 def test_simulator_names_resolve_from_the_package():

@@ -42,7 +42,7 @@ from latgov.telemetry import (
     slo_track,
     window_stats,
 )
-from reference import event_to_json, fsum_window_stats
+from reference import event_to_json, fsum_window_stats, oracle_stats
 
 GOOD_LINE = json.dumps(
     {
@@ -89,20 +89,6 @@ VIOLATIONS = [
     ("media_jitter_ms", 10**400,
      f"field 'media_jitter_ms' must be finite and >= 0, got {10**400}"),
 ]
-
-
-def oracle_stats(values):
-    """Textbook two-pass mean/std plus exact-rational nearest-rank quantiles."""
-    n = len(values)
-    mean = sum(values) / n
-    std = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1)) if n > 1 else 0.0
-    ordered = sorted(values)
-
-    def rank_quantile(q_num, q_den):
-        rank = -((-q_num * n) // q_den)  # ceil of the exact rational q * n
-        return ordered[rank - 1]
-
-    return mean, std, rank_quantile(1, 2), rank_quantile(9, 10), rank_quantile(99, 100)
 
 
 class TestParsing:
