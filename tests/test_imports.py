@@ -20,15 +20,20 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("numpy", "latgov.simulator")
 
 
-def loaded_after(code, cwd):
-    """Which of HEAVY are in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
-    probe = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+def run_fresh(code, cwd=None):
+    """The last stdout line of ``code`` run in a fresh interpreter, decoded as JSON."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, "-c", probe], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_after(code, cwd):
+    """Which of HEAVY are in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
+    probe = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+    return run_fresh(probe, cwd)
 
 
 def run_main(argv):
@@ -75,16 +80,6 @@ def test_loads_neither_numpy_nor_the_simulator(inputs, code):
 )
 def test_array_commands_load_numpy(inputs, argv, loaded):
     assert loaded_after(run_main(argv), inputs) == loaded
-
-
-def run_fresh(code):
-    """The last stdout line of ``code`` run in a fresh interpreter, decoded as JSON."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_import_registers_no_exit_callback():
