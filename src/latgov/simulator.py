@@ -11,7 +11,7 @@ check it against a scalar one-session reference in ``tests/reference.py``.
 Policies simulated together (``--policy all``, :func:`run_burst`) share that
 one pass, which yields each stage's arrays or blocks as it makes them: the
 results count them as they come and keep only the trust array whole, and
-:func:`simulate_paths` joins them into a trace.
+:func:`simulate_paths` joins them into a trace, one attribute per field the pass yields.
 
 Determinism: a run is a pure function of ``(config, seed)``. All random
 variates come from one seeded generator in four lanes of one value per
@@ -32,7 +32,8 @@ and only converted sessions can repeat.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from types import SimpleNamespace
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
@@ -48,25 +49,6 @@ from .telemetry import QUANTILES, ROLLING_BLOCK, nearest_rank, perceived_stream
 OUTCOME_MODEL = "survive-then-convert"
 
 
-@dataclass
-class SessionTrace:
-    """Per-session arrays of one policy, as :func:`simulate_paths` joins them.
-    ``latency_quantiles`` holds the nearest-rank ``QUANTILES`` of ``latency_s``, in order."""
-
-    latency_s: np.ndarray
-    perceived_s: np.ndarray
-    trust: np.ndarray
-    mode: np.ndarray       # int8 indexes into governor.MODE_ORDER
-    abandoned: np.ndarray
-    converted: np.ndarray
-    repeated: np.ndarray
-    governor_transitions: int
-    latency_quantiles: Tuple[float, ...]
-
-    def __len__(self) -> int:
-        return int(self.latency_s.shape[0])
-
-
 def draw_variates(rng: np.random.Generator, n: int) -> Iterator[Iterator[np.ndarray]]:
     """The four per-session variate lanes, in their fixed draw order, each as its
     :data:`telemetry.ROLLING_BLOCK`-session blocks, drawn when the caller takes them.
@@ -79,11 +61,13 @@ def draw_variates(rng: np.random.Generator, n: int) -> Iterator[Iterator[np.ndar
 
 def _pass(cfg: SimConfig, kinds: Tuple[str, ...]) -> Iterator[Tuple[str, str, object]]:
     """Simulate every session under each policy in ``kinds`` in one shared pass, yielding
-    ``(field, kind, value)`` for the :class:`SessionTrace` fields as each stage makes them
-    (``kind`` is ``""`` for those all policies share). Only the modes, hazard multipliers and
-    outcome comparisons are per policy. Lanes are taken in :data:`telemetry.ROLLING_BLOCK`
-    blocks, and the outcomes are yielded a block at a time, each block a new array. Latencies
-    and modes are freed after the patience lane, perceived latency after the conversion lane.
+    ``(field, kind, value)`` for each field as a stage makes it (``kind`` is ``""`` for those
+    all policies share). ``latency_quantiles`` holds the nearest-rank ``QUANTILES`` of
+    ``latency_s``, in order; ``mode`` holds int8 indexes into ``governor.MODE_ORDER``. Only the
+    modes, hazard multipliers and outcome comparisons are per policy. Lanes are taken in
+    :data:`telemetry.ROLLING_BLOCK` blocks, and the outcomes are yielded a block at a time,
+    each block a new array. Latencies and modes are freed after the patience lane, perceived
+    latency after the conversion lane.
     """
     n, params = cfg.sessions, cfg.params
     blocks = [slice(start, start + ROLLING_BLOCK) for start in range(0, n, ROLLING_BLOCK)]
@@ -138,13 +122,13 @@ def _pass(cfg: SimConfig, kinds: Tuple[str, ...]) -> Iterator[Tuple[str, str, ob
     yield "trust", "", trust
 
 
-def simulate_paths(cfg: SimConfig) -> SessionTrace:
-    """Simulate every session under ``cfg.policy``; the pass's blocks of each field, joined."""
+def simulate_paths(cfg: SimConfig) -> SimpleNamespace:
+    """Simulate ``cfg.policy``: an attribute per :func:`_pass` field, blocks joined, scalars as is."""
     got: Dict[str, list] = {}
     for field, _, value in _pass(cfg, (cfg.policy.kind,)):
         got.setdefault(field, []).append(value)
-    return SessionTrace(**{f: np.concatenate(v) if isinstance(v[0], np.ndarray) else v[0]
-                           for f, v in got.items()})
+    return SimpleNamespace(**{f: np.concatenate(v) if isinstance(v[0], np.ndarray) else v[0]
+                              for f, v in got.items()})
 
 
 _RATES = {"abandoned": "abandonment_rate", "converted": "conversion_rate", "repeated": "repeat_rate"}

@@ -196,7 +196,7 @@ class TestDeterminism:
 class TestOutcomeStructure:
     def test_conservation(self):
         trace = simulate_paths(small_cfg())
-        n = len(trace)
+        n = len(trace.latency_s)
         abandoned = int(np.count_nonzero(trace.abandoned))
         converted = int(np.count_nonzero(trace.converted))
         neither = int(np.count_nonzero(~trace.abandoned & ~trace.converted))
@@ -543,7 +543,7 @@ def test_trace_and_result_are_folds_of_one_pass(kind, sessions, window):
         policy=PolicySpec(kind=kind),
     )
     trace, result = simulate_paths(cfg), run_simulation(cfg)
-    assert len(trace) == sessions
+    assert len(trace.latency_s) == sessions
     assert result.conversion_rate == np.count_nonzero(trace.converted) / sessions
     assert result.abandonment_rate == np.count_nonzero(trace.abandoned) / sessions
     assert result.repeat_rate == np.count_nonzero(trace.repeated) / sessions
