@@ -5,11 +5,11 @@ Structure and every non-float value must match exactly; floats within 1e-12
 relative, because NumPy's SIMD ``exp`` may differ in the last bit between
 CPUs and NumPy versions. ``replay``'s ``perceived_latency_s`` must match bit
 for bit: it comes from integer millisecond differences through add, multiply,
-divide, sqrt and a sequential ``cumsum`` only, which IEEE 754 rounds exactly,
-with no NumPy transcendental on the way. (Its ``trust`` passes through ``exp``,
-so it keeps the tolerance.) If one platform disagrees in those bits, read the
-values before loosening the check: the tolerance once hid a last-bit change to
-the window means for months. ``tests/golden/regenerate.py`` rewrites the
+divide, sqrt and a sequential ``cumsum`` only, which IEEE 754 rounds the same
+on every platform, with no NumPy transcendental on the way. (Its ``trust``
+passes through ``exp``, so it keeps the tolerance.) If one platform disagrees
+in those bits, read the values before loosening the check: the tolerance once
+hid an intended last-bit change to the window means through many commits. ``tests/golden/regenerate.py`` rewrites the
 expected file when an output changes on purpose, in its last bits too.
 """
 
@@ -50,6 +50,10 @@ def assert_matches(got, want, where="out"):
         assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
 
 
+def perceived(records):
+    return [record["perceived_latency_s"] for record in records or []]
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     directory = tmp_path_factory.mktemp("golden")
@@ -68,10 +72,6 @@ def test_output_unchanged(inputs, case):
     assert_matches(got["out"], want["out"])
     if case.startswith("replay_"):  # bit for bit: see the module docstring
         assert perceived(got["out"]) == perceived(want["out"])
-
-
-def perceived(records):
-    return [record["perceived_latency_s"] for record in records or []]
 
 
 def test_cases_are_all_recorded():
