@@ -38,9 +38,8 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from .config import (  # NumPy-free; callers may import these names from here too
-    POLICY_KINDS, Mitigation, PolicySpec, QuantileModeRow, RailDistribution, SimConfig, SimResult,
-    quantile_mode_rows,
+from .config import (
+    POLICY_KINDS, QuantileModeRow, RailDistribution, SimConfig, SimResult, quantile_mode_rows,
 )
 from .governor import mode_shares, modes
 from .model import abandonment_hazard, context_conversion, trust_score

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 import latgov
+from latgov.config import PolicySpec, RailDistribution, SimConfig
 from latgov.governor import GovernorState, Mode, decide_simple, step
 from latgov.model import (
     ModelParams,
@@ -34,14 +35,7 @@ from latgov.model import (
     sigmoid,
     trust_score,
 )
-from latgov.simulator import (
-    PolicySpec,
-    RailDistribution,
-    SimConfig,
-    compare_policies,
-    run_burst,
-    run_simulation,
-)
+from latgov.simulator import compare_policies, run_burst, run_simulation
 from latgov.telemetry import SloStatus, slo_track, window_stats
 from reference import oracle_stats
 

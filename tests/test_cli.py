@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 import latgov
 from latgov.cli import main
+from latgov.config import Mitigation, PolicySpec, RailDistribution, SimConfig, SimResult
 from latgov.governor import GovernorState, Reason, step
 from latgov.model import ContextProfile, ModelParams, context_conversion, median_abandon_time
-from latgov.simulator import Mitigation, PolicySpec, RailDistribution, SimConfig, SimResult
 from latgov.telemetry import OPTIONAL_FIELDS, REQUIRED_FIELDS, SloConfig, reject_non_finite
 
 

@@ -1,13 +1,15 @@
-"""Which imports and commands load NumPy and the simulator, and what they
-leave to run at exit.
+"""Which imports and commands load NumPy, the simulator and latgov's modules,
+and what they leave to run at exit.
 
-``slo``, ``report`` and ``fit`` do no array work, so they start without
+``import latgov`` loads none of its modules, and each module imports on its
+own. ``slo``, ``report`` and ``fit`` do no array work, so they start without
 NumPy; only ``simulate`` and ``replay`` load it. Each case runs in a fresh
-interpreter, because this test process has imported both already.
+interpreter, because this test process has imported all of them already.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,8 @@ import pytest
 
 from test_cli import make_event
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 HEAVY = ("numpy", "latgov.simulator")
 
 
@@ -106,16 +109,34 @@ def test_main_registers_one_heap_freeze_however_often_it_runs():
     assert run_fresh(code) == 1
 
 
-def test_simulator_names_resolve_from_the_package():
-    import latgov
-    from latgov import run_simulation, simulator
+@pytest.mark.parametrize(
+    "module,loaded",
+    [
+        ("latgov", []),
+        ("latgov.model", ["model"]),
+        ("latgov.governor", ["governor", "model"]),
+        ("latgov.telemetry", ["governor", "model", "telemetry"]),
+        ("latgov.config", ["config", "governor", "model", "telemetry"]),
+        ("latgov.simulator", ["config", "governor", "model", "simulator", "telemetry"]),
+        ("latgov.cli", ["cli", "config", "governor", "model", "telemetry"]),
+    ],
+    ids=["package", "model", "governor", "telemetry", "config", "simulator", "cli"],
+)
+def test_module_imports_on_its_own(module, loaded):
+    # The package imports none of its modules, so nothing fixes their import order.
+    code = (
+        f"import json, sys\nimport {module}\n"
+        "print(json.dumps(sorted(m[7:] for m in sys.modules if m.startswith('latgov.'))))"
+    )
+    assert run_fresh(code) == loaded
 
-    assert run_simulation is simulator.run_simulation
-    for name in latgov._SIMULATOR_NAMES:  # a name moved out of the simulator cannot stay listed
-        assert getattr(latgov, name) is getattr(simulator, name), name
-    for gone in ("nope", "simulate_session"):
-        with pytest.raises(AttributeError, match=f"no attribute '{gone}'"):
-            getattr(latgov, gone)
+
+def test_one_version_string():
+    import latgov
+
+    # Python 3.10 has no tomllib.
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "([^"]+)"$', pyproject, re.MULTILINE) == [latgov.__version__]
 
 
 def test_config_types_are_the_simulators():

@@ -11,18 +11,20 @@ import pytest
 
 from latgov.governor import GovernorState, Mode, mode_shares, step
 from latgov import simulator
-from latgov.model import ContextProfile, ModelParams, sigmoid
-from latgov.simulator import (
+from latgov.config import (
     POLICY_KINDS,
     Mitigation,
     PolicySpec,
     RailDistribution,
     SimConfig,
     SimResult,
+    quantile_mode_rows,
+)
+from latgov.model import ContextProfile, ModelParams, sigmoid
+from latgov.simulator import (
     compare_policies,
     draw_variates,
     quantile_mode_report,
-    quantile_mode_rows,
     run_burst,
     run_simulation,
     simulate_paths,

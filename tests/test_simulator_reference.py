@@ -7,16 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latgov.config import Mitigation, PolicySpec, RailDistribution, SimConfig
 from latgov.governor import GovernorState
 from latgov.model import ModelParams
-from latgov.simulator import (
-    Mitigation,
-    PolicySpec,
-    RailDistribution,
-    SimConfig,
-    draw_variates,
-    simulate_paths,
-)
+from latgov.simulator import draw_variates, simulate_paths
 from latgov.telemetry import window_stats
 from reference import simulate_session
 
