@@ -126,7 +126,8 @@ def test_module_imports_on_its_own(module, loaded):
     # The package imports none of its modules, so nothing fixes their import order.
     code = (
         f"import json, sys\nimport {module}\n"
-        "print(json.dumps(sorted(m[7:] for m in sys.modules if m.startswith('latgov.'))))"
+        "loaded = [m.removeprefix('latgov.') for m in sys.modules if m.startswith('latgov.')]\n"
+        "print(json.dumps(sorted(loaded)))"
     )
     assert run_fresh(code) == loaded
 
