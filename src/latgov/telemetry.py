@@ -375,17 +375,50 @@ class WindowStats:
 EMPTY_STATS = WindowStats(0, 0.0, 0.0, *(0.0 for _ in QUANTILES))
 
 
+# Below this std some squared deviation may have fallen under the normal float
+# range (a deviation under 2**-511 does) and lost its bits; at or above it, the
+# lost part is under 2**-100 of the sum of squares.
+_STD_UNDERFLOW = 2.0**-480
+
+
+def _mean_std(values: Sequence[float]) -> Tuple[float, float]:
+    """Mean (fsum) and sample std (n-1); raises ``OverflowError`` when a sum overflows."""
+    n = len(values)
+    mean = math.fsum(values) / n
+    if n == 1:
+        return mean, 0.0
+    return mean, math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
+
+
 def window_stats(values: Sequence[float]) -> WindowStats:
-    """Mean (fsum), sample std (n-1) and the nearest-rank :data:`QUANTILES` of ``values``."""
+    """Mean (fsum), sample std (n-1) and the nearest-rank :data:`QUANTILES` of ``values``.
+
+    A window of finite values whose sums overflow (``[1e200, -1e200]``), or
+    whose differing values are so close to 0 that their squared deviations
+    underflow (``[1e-300, 2e-300]``), is summed again over its values scaled
+    by a power of two into [0.5, 1), and the mean and std are scaled back. The
+    scaling is exact but for values that underflow in it, far below the
+    window's largest; every other window takes the plain sums and pays
+    nothing. A std past the float range reads inf.
+    """
     n = len(values)
     if n == 0:
         return EMPTY_STATS
-    mean = math.fsum(values) / n
-    if n > 1:
-        std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
-    else:
-        std = 0.0
     ordered = sorted(values)
+    try:
+        mean, std = _mean_std(values)
+        finite = math.isfinite(mean) and math.isfinite(std)
+        rescale = not finite and all(map(math.isfinite, values))
+    except OverflowError:
+        rescale = True
+    if rescale or (std < _STD_UNDERFLOW and ordered[0] != ordered[-1]):
+        shift = math.frexp(max(-ordered[0], ordered[-1]))[1]
+        mean, std = _mean_std([math.ldexp(v, -shift) for v in values])
+        mean = math.ldexp(mean, shift)
+        try:
+            std = math.ldexp(std, shift)
+        except OverflowError:
+            std = math.inf
     return WindowStats(n, mean, std, *(nearest_rank(ordered, q) for q in QUANTILES.values()))
 
 

@@ -7,19 +7,13 @@ computed inline, save the window statistics, whose brute-force oracle is
 ``oracle_stats`` of ``tests/reference.py``.
 """
 
-import json
 import math
-import os
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
-import latgov
 from latgov.config import PolicySpec, RailDistribution, SimConfig
 from latgov.governor import GovernorState, Mode, decide_simple, step
 from latgov.model import (
@@ -37,7 +31,7 @@ from latgov.model import (
 )
 from latgov.simulator import compare_policies, run_burst, run_simulation
 from latgov.telemetry import SloStatus, slo_track, window_stats
-from reference import oracle_stats
+from reference import breach_window, oracle_stats, run_latgov, write_telemetry
 
 PARAMS = ModelParams()
 BURST_RAIL = RailDistribution.from_median(2.8, 0.3569356868633699)
@@ -51,19 +45,6 @@ def criterion(label):
         print(f"[{label}] FAIL")
         raise
     print(f"[{label}] PASS")
-
-
-def cli_env():
-    """Environment for ``python -m latgov`` children that imports the latgov under test.
-
-    The package's source root is prepended to ``PYTHONPATH`` as an absolute
-    path, so the child finds it from any working directory, even where a
-    relative ``PYTHONPATH`` was inherited or another latgov is installed.
-    """
-    env = dict(os.environ)
-    src = str(Path(latgov.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return env
 
 
 def test_c01_closed_form_exactness():
@@ -246,46 +227,14 @@ def test_c10_telemetry_oracle_equivalence():
         assert status.escalated  # exactly the 3rd consecutive breaching window
 
 
-def _make_breach_stream(path, windows=3, per_window=20):
-    lines = []
-    latencies = ([1.5] * (per_window - 3) + [2.6] * 3) * windows
-    for i, latency in enumerate(latencies):
-        lines.append(
-            json.dumps(
-                {
-                    "session_id": f"s{i}",
-                    "intent_ts": 1000 * i,
-                    "confirm_ts": 1000 * i + int(latency * 1000),
-                    "media_rtt_ms": 80,
-                    "media_jitter_ms": 10,
-                    "ux_mode": "instant",
-                    "engaged_60s": False,
-                }
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
-
-
 def test_c11_end_to_end_determinism(tmp_path):
     with criterion("criterion 11: CLI determinism and SLO escalation exit code"):
-        out1 = tmp_path / "run1.json"
-        out2 = tmp_path / "run2.json"
-        base = [sys.executable, "-m", "latgov", "simulate", "--sessions", "20000", "--seed", "42"]
-        env = cli_env()
-        for out in (out1, out2):
-            proc = subprocess.run(
-                base + ["--out", str(out)], capture_output=True, text=True, cwd=tmp_path, env=env
-            )
+        for out in ("run1.json", "run2.json"):
+            proc = run_latgov(["simulate", "--sessions", "20000", "--seed", "42", "--out", out],
+                              tmp_path)
             assert proc.returncode == 0, proc.stderr
-        assert out1.read_bytes() == out2.read_bytes()
+        assert (tmp_path / "run1.json").read_bytes() == (tmp_path / "run2.json").read_bytes()
 
-        stream = tmp_path / "breaches.jsonl"
-        _make_breach_stream(stream, windows=3, per_window=20)
-        proc = subprocess.run(
-            [sys.executable, "-m", "latgov", "slo", "--telemetry", str(stream), "--window", "20"],
-            capture_output=True,
-            text=True,
-            cwd=tmp_path,
-            env=env,
-        )
+        write_telemetry(tmp_path / "breaches.jsonl", breach_window(20) * 3)
+        proc = run_latgov(["slo", "--telemetry", "breaches.jsonl", "--window", "20"], tmp_path)
         assert proc.returncode == 3, proc.stdout + proc.stderr

@@ -1,48 +1,22 @@
 """CLI contract tests: subcommand behavior, exit codes, determinism."""
 
-import contextlib
-import io
 import json
-import os
-import subprocess
-import sys
 import typing
-import warnings
 from dataclasses import asdict, fields
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import latgov
 from latgov.cli import main
 from latgov.config import Mitigation, PolicySpec, RailDistribution, SimConfig, SimResult
 from latgov.governor import GovernorState, Reason, step
 from latgov.model import ContextProfile, ModelParams, context_conversion, median_abandon_time
-from latgov.telemetry import OPTIONAL_FIELDS, REQUIRED_FIELDS, SloConfig, reject_non_finite
-
-
-def make_event(session_id, latency_s, engaged=False, base_ts=0):
-    return json.dumps(
-        {
-            "session_id": session_id,
-            "intent_ts": base_ts,
-            "confirm_ts": base_ts + int(round(latency_s * 1000)),
-            "media_rtt_ms": 80,
-            "media_jitter_ms": 12,
-            "ux_mode": "instant",
-            "engaged_60s": engaged,
-        }
-    )
-
-
-def write_telemetry(path, latencies, engaged_every=None):
-    lines = []
-    for i, latency in enumerate(latencies):
-        engaged = engaged_every is not None and i % engaged_every == 0
-        lines.append(make_event(f"s{i}", latency, engaged=engaged))
-    path.write_text("\n".join(lines) + "\n")
+from latgov.telemetry import OPTIONAL_FIELDS, REQUIRED_FIELDS, SloConfig
+from reference import (
+    GOOD_EVENT, HUGE, WILD, assert_no_non_finite, breach_window, make_event, run_latgov,
+    run_quietly, write_telemetry,
+)
 
 
 class TestSimulate:
@@ -134,13 +108,8 @@ class TestSimulate:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"rail": {"shift_s": 5000}}))
         out = tmp_path / "out.json"
-        env = dict(os.environ)
-        src = str(Path(latgov.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "latgov", "simulate", "--config", str(config),
-             "--sessions", "2000", "--out", str(out)],
-            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        proc = run_latgov(
+            ["simulate", "--config", str(config), "--sessions", "2000", "--out", str(out)], tmp_path
         )
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
@@ -366,11 +335,6 @@ class TestReport:
         assert main(["report", "--telemetry", str(telemetry), "--sim", str(telemetry)]) == 2
 
 
-def breach_window(count=20):
-    """One window whose p90 lands at 2.6 s (>= 2.0 target, > 2.5 alert)."""
-    return [1.5] * (count - 3) + [2.6] * 3
-
-
 class TestSlo:
     def test_compliant_stream(self, tmp_path, capsys):
         telemetry = tmp_path / "ok.jsonl"
@@ -501,34 +465,12 @@ class TestParser:
         assert main(["simulate", "--sessions", "many"]) == 2
 
 
-def run_quietly(argv):
-    """(exit code, stdout, stderr, RuntimeWarnings) of one in-process run."""
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    return code, out.getvalue(), err.getvalue(), runtime
-
-
-def assert_no_non_finite(path):
-    """Every JSON document (or JSONL line) in ``path`` parses without NaN or Infinity."""
-    if not path.exists():
-        return
-    text = path.read_text()
-    for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
-        json.loads(doc, parse_constant=reject_non_finite)
-
-
-HUGE = 10**400
 # A valid `report --sim` input: one simulation result document.
 SIM_RESULT = {
     "conversion_rate": 0.5, "abandonment_rate": 0.1, "repeat_rate": 0.1, "mean_trust": 0.6,
     "mode_shares": {"instant": 0.7, "soft": 0.2, "deferred": 0.1},
     "latency_p50": 1.4, "latency_p90": 2.2, "latency_p99": 4.7,
 }
-GOOD_EVENT = json.loads(make_event("s0", 1.0))
 
 
 def huge_field_telemetry(field):
@@ -757,11 +699,9 @@ class TestTelemetryInput:
     @pytest.mark.parametrize("command", TELEMETRY_COMMANDS)
     def test_byte_order_mark_is_dropped(self, tmp_path, command, flags):
         # An outlier first event, so losing it changes every command's output.
-        latencies = [6.0, 1.0, 1.1, 1.2, 1.3]
-        text = "\n".join(make_event(f"s{i}", lat) for i, lat in enumerate(latencies)) + "\n"
         plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
-        plain.write_text(text)
-        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        write_telemetry(plain, [6.0, 1.0, 1.1, 1.2, 1.3])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         runs = []
         for path in (plain, marked):
             out = tmp_path / f"{path.stem}.out"
@@ -884,11 +824,6 @@ def test_extreme_config_runs_quietly(tmp_path, name):
     assert not runtime, [str(w.message) for w in runtime]
     assert not any(token in stdout for token in ("nan", "inf", "NaN", "Infinity")), stdout
     assert_no_non_finite(out)
-
-
-WILD = st.sampled_from(
-    [HUGE, 2**64, -(2**64), 1e308, -1e308, 5e-324, 1e-300, "x", "", True, False, None]
-)
 
 
 def wild_section(cls):

@@ -3,14 +3,24 @@ fixed inputs, pinned across commits (a characterization test).
 
 Structure and every non-float value must match exactly; floats within 1e-12
 relative, because NumPy's SIMD ``exp`` may differ in the last bit between
-CPUs and NumPy versions. ``replay``'s ``perceived_latency_s`` must match bit
-for bit: it comes from integer millisecond differences through add, multiply,
-divide, sqrt and a sequential ``cumsum`` only, which IEEE 754 rounds the same
-on every platform, with no NumPy transcendental on the way. (Its ``trust``
-passes through ``exp``, so it keeps the tolerance.) If one platform disagrees
-in those bits, read the values before loosening the check: the tolerance once
-hid an intended last-bit change to the window means through many commits. ``tests/golden/regenerate.py`` rewrites the
-expected file when an output changes on purpose, in its last bits too.
+CPUs and NumPy versions. The floats that IEEE 754 rounds the same on every
+platform must match bit for bit (:func:`exact_values`):
+
+- ``replay``'s ``perceived_latency_s``: integer millisecond differences
+  through add, multiply, divide, sqrt and a sequential ``cumsum`` only, with
+  no NumPy transcendental on the way;
+- ``slo``'s window ``count``, ``mean_s``, ``p50_s``, ``p90_s`` and ``p99_s``:
+  nearest-rank picks and one correctly rounded ``fsum / n``;
+- ``report``'s row ``latency_s``: nearest-rank picks, or the values read.
+
+The rest keep the tolerance: ``trust`` and ``conversion`` pass through
+``exp``, every ``simulate`` float through the rail's exponentiated draws,
+and ``slo``'s ``std_s`` through ``** 2``, which goes through C ``pow``, whose
+rounding IEEE 754 does not fix. If one platform disagrees in the exact bits,
+read the values before loosening the check: the tolerance once hid an
+intended last-bit change to the window means through many commits.
+``tests/golden/regenerate.py`` rewrites the expected file when an output
+changes on purpose, in its last bits too.
 """
 
 import gzip
@@ -50,8 +60,18 @@ def assert_matches(got, want, where="out"):
         assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
 
 
-def perceived(records):
-    return [record["perceived_latency_s"] for record in records or []]
+def exact_values(case, out):
+    """The floats of ``case``'s ``--out`` that must match bit for bit (module docstring)."""
+    if out is None:
+        return []
+    if case.startswith("replay_"):
+        return [record["perceived_latency_s"] for record in out]
+    if case.startswith("slo_"):
+        fields = ("count", "mean_s", "p50_s", "p90_s", "p99_s")
+        return [[window[f] for f in fields] for window in out["windows"]]
+    if case.startswith("report_"):
+        return [row["latency_s"] for row in out["rows"]]
+    return []
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +90,7 @@ def test_output_unchanged(inputs, case):
         want["code"], want["stdout"], want["stderr"]
     )
     assert_matches(got["out"], want["out"])
-    if case.startswith("replay_"):  # bit for bit: see the module docstring
-        assert perceived(got["out"]) == perceived(want["out"])
+    assert exact_values(case, got["out"]) == exact_values(case, want["out"])
 
 
 def test_cases_are_all_recorded():

@@ -8,7 +8,6 @@ interpreter, because this test process has imported all of them already.
 """
 
 import json
-import os
 import re
 import subprocess
 import sys
@@ -16,18 +15,17 @@ from pathlib import Path
 
 import pytest
 
-from test_cli import make_event
+from reference import latgov_env, write_telemetry
 
 ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
 HEAVY = ("numpy", "latgov.simulator")
 
 
 def run_fresh(code, cwd=None):
     """The last stdout line of ``code`` run in a fresh interpreter, decoded as JSON."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], cwd=cwd, env=latgov_env(), capture_output=True, text=True,
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -45,9 +43,7 @@ def run_main(argv):
 
 @pytest.fixture
 def inputs(tmp_path):
-    (tmp_path / "t.jsonl").write_text(
-        "\n".join(make_event(f"s{i}", 1.0 + i / 10) for i in range(5)) + "\n"
-    )
+    write_telemetry(tmp_path / "t.jsonl", [1.0 + i / 10 for i in range(5)])
     result = {
         "conversion_rate": 0.5, "abandonment_rate": 0.1, "repeat_rate": 0.05, "mean_trust": 0.7,
         "mode_shares": {"instant": 1.0}, "latency_p50": 1.0, "latency_p90": 2.0,

@@ -34,7 +34,7 @@ from latgov.telemetry import (
     read_columns,
     reject_non_finite,
 )
-from test_cli import GOOD_EVENT, WILD, run_quietly
+from reference import GOOD_EVENT, WILD, run_quietly
 
 NON_UTF8 = b'{"session_id":"\xff\xfe"}'.decode("utf-8", errors="surrogateescape")
 

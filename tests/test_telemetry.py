@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import fields
 from fractions import Fraction
@@ -9,7 +10,7 @@ from typing import Dict, Optional, get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latgov.config import SimResult
@@ -42,19 +43,9 @@ from latgov.telemetry import (
     slo_track,
     window_stats,
 )
-from reference import event_to_json, fsum_window_stats, oracle_stats
+from reference import event_to_json, fsum_window_stats, make_event, oracle_stats
 
-GOOD_LINE = json.dumps(
-    {
-        "session_id": "s1",
-        "intent_ts": 1000,
-        "confirm_ts": 2400,
-        "media_rtt_ms": 80,
-        "media_jitter_ms": 12,
-        "ux_mode": "instant",
-        "engaged_60s": True,
-    }
-)
+GOOD_LINE = make_event("s1", 1.4, engaged=True, base_ts=1000)
 
 
 MISSING = object()
@@ -238,6 +229,23 @@ class TestParsing:
         assert confirmation_latency(parse_event(json.dumps(doc))) == 8.0
 
 
+SIGNED_MAGNITUDE = st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+    st.sampled_from([1.0, -1.0]), st.floats(1.0, 9.99), st.integers(-300, 299),
+)
+# Values a few units of 2**-52 apart around one base: a spread far below the mean.
+CLUSTERED = st.builds(
+    lambda base, steps: [base * (1.0 + k * 2.0**-52) for k in steps],
+    SIGNED_MAGNITUDE, st.lists(st.integers(-4, 4), min_size=2, max_size=12),
+)
+
+
+def fraction_sqrt(x):
+    """The square root of a non-negative ``Fraction`` to at least 100 significant bits."""
+    k = 110 - (x.numerator.bit_length() - x.denominator.bit_length()) // 2
+    return Fraction(math.isqrt(int(x * Fraction(4) ** k))) / Fraction(2) ** k
+
+
 class TestWindowStats:
     def test_single_push(self):
         stats = window_stats([1.0])
@@ -281,6 +289,30 @@ class TestWindowStats:
     def test_quantile_ordering(self, values):
         stats = window_stats(values)
         assert stats.p50_s <= stats.p90_s <= stats.p99_s
+
+    # The bound: the mean and the std each within 8 units of 2**-53 of the
+    # window's own scale, |mean| + std (a rounded mean shifts a spread far
+    # below the mean by that much), plus one subnormal step; a std past the
+    # float range reads inf.
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(SIGNED_MAGNITUDE, min_size=1, max_size=12) | CLUSTERED)
+    @example([1e200, -1e200])
+    @example([1.7e308, -1.7e308, -1.7e308])
+    @example([1.7e308, 1.7e308])
+    @example([1e-300, 2e-300])
+    def test_matches_exact_oracle_at_every_magnitude(self, values):
+        stats = window_stats(values)
+        xs = [Fraction(v) for v in values]
+        mean = sum(xs) / len(xs)
+        var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1) if len(xs) > 1 else Fraction(0)
+        std = fraction_sqrt(var)
+        slack = 8 * Fraction(2) ** -53 * (abs(mean) + std) + Fraction(2) ** -1074
+        assert abs(Fraction(stats.mean_s) - mean) <= slack
+        if stats.std_s == math.inf:
+            assert std > Fraction(sys.float_info.max) - slack
+        else:
+            assert abs(Fraction(stats.std_s) - std) <= slack
+
 
 
 def read_as(replay, window_fn, x, *args):
