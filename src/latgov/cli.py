@@ -221,12 +221,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    if bool(args.telemetry) == bool(args.sim):
-        raise UsageError("exactly one of --telemetry or --sim is required")
     cfg, slo_cfg = _load_config(args.config)
 
     behavior_lines = []
-    if args.telemetry:
+    if args.telemetry is not None:
         latencies, engaged = _columns(args, "latency_s", "engaged_60s")
         stats = window_stats(latencies)
         quantiles = {q: getattr(stats, f"{q}_s") for q in QUANTILES}
@@ -335,23 +333,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if not args.points and not args.hazard_anchor:
         raise UsageError("nothing to fit: pass --points and/or --hazard-anchor")
     fitted = {}
-    if args.points:
-        p1, p2 = _parse_points(args.points)
-        try:
-            alpha, beta = fit_logistic_two_point(p1, p2)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        fitted["alpha"] = alpha
-        fitted["beta"] = beta
-    if args.hazard_anchor:
-        latency, median = _parse_pair(args.hazard_anchor, "hazard anchor", "latency:median")
-        try:
+    try:  # the model's ValueErrors; the parsers raise UsageError, which passes through
+        if args.points:
+            fitted["alpha"], fitted["beta"] = fit_logistic_two_point(*_parse_points(args.points))
+        if args.hazard_anchor:
+            latency, median = _parse_pair(args.hazard_anchor, "hazard anchor", "latency:median")
             fitted["lambda0"] = calibrate_lambda0(latency, median, args.gamma)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        fitted["gamma"] = args.gamma  # lambda0 holds only with the gamma it was fitted at
-    try:  # a fit the model's bounds reject could not be used as a --config
-        ModelParams(**fitted)
+            fitted["gamma"] = args.gamma  # lambda0 holds only with the gamma it was fitted at
+        ModelParams(**fitted)  # a fit the model's bounds reject could not be used as a --config
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _write_out(args.out, fitted)
@@ -366,13 +355,17 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, parents=[out])
     common.add_argument("--config", help="JSON config: scenario, model params, slo targets")
 
+    # allow_abbrev=False throughout: a flag's prefix is an error, not that flag.
     parser = argparse.ArgumentParser(
         prog="latgov",
         description="Latency governance: simulation, telemetry replay, SLO gating, calibration.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command")
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="run the session simulator")
+    p_sim = sub.add_parser(
+        "simulate", parents=[common], allow_abbrev=False, help="run the session simulator"
+    )
     p_sim.add_argument("--seed", type=int, help=f"RNG seed (default {SimConfig.seed})")
     p_sim.add_argument(
         "--sessions", type=int, help=f"session count (default {SimConfig.sessions})"
@@ -385,26 +378,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_replay = sub.add_parser("replay", parents=[common], help="replay telemetry through the governor")
+    p_replay = sub.add_parser(
+        "replay", parents=[common], allow_abbrev=False, help="replay telemetry through the governor"
+    )
     p_replay.add_argument("--telemetry", required=True, help="JSONL telemetry input")
     p_replay.add_argument("--window", type=int, help="trust window, in events (default: "
                           f"the config's window_capacity, else {SimConfig.window_capacity})")
     p_replay.add_argument("--skip-bad", action="store_true", help="skip malformed lines")
     p_replay.set_defaults(func=cmd_replay)
 
-    p_report = sub.add_parser("report", parents=[common], help="quantile/mode table")
-    p_report.add_argument("--telemetry", help="JSONL telemetry input")
-    p_report.add_argument("--sim", help="simulation output JSON")
+    p_report = sub.add_parser(
+        "report", parents=[common], allow_abbrev=False, help="quantile/mode table"
+    )
+    source = p_report.add_mutually_exclusive_group(required=True)
+    source.add_argument("--telemetry", help="JSONL telemetry input")
+    source.add_argument("--sim", help="simulation output JSON")
     p_report.add_argument("--skip-bad", action="store_true")
     p_report.set_defaults(func=cmd_report)
 
-    p_slo = sub.add_parser("slo", parents=[common], help="windowed SLO check (exit 3 on escalation)")
+    p_slo = sub.add_parser(
+        "slo", parents=[common], allow_abbrev=False, help="windowed SLO check (exit 3 on escalation)"
+    )
     p_slo.add_argument("--telemetry", required=True, help="JSONL telemetry input")
     p_slo.add_argument("--window", type=int, default=DEFAULT_WINDOW_CAPACITY, help="events per window")
     p_slo.add_argument("--skip-bad", action="store_true")
     p_slo.set_defaults(func=cmd_slo)
 
-    p_fit = sub.add_parser("fit", parents=[out], help="calibrate model coefficients")
+    p_fit = sub.add_parser(
+        "fit", parents=[out], allow_abbrev=False, help="calibrate model coefficients"
+    )
     p_fit.add_argument("--points", help="two conversion points as L1:P1,L2:P2")
     p_fit.add_argument("--hazard-anchor", help="abandonment anchor as latency:median")
     p_fit.add_argument(

@@ -9,8 +9,9 @@ comparison); the scenario and result types are in :mod:`latgov.config`.
 :func:`_pass` is the library's only implementation of a session; the tests
 check it against a scalar one-session reference in ``tests/reference.py``.
 Policies simulated together (``--policy all``, :func:`run_burst`) share that
-one pass, which yields each stage's arrays or blocks as it makes them: the
-results count them as they come and keep only the trust array whole, and
+one pass, in which each policy is one row of the mode and outcome arrays. The
+pass yields each stage's arrays or blocks as it makes them: the results count
+them as they come and keep only the trust array whole, and
 :func:`simulate_paths` joins them into a trace, one attribute per field the pass yields.
 
 Determinism: a run is a pure function of ``(config, seed)``. All random
@@ -31,7 +32,6 @@ and only converted sessions can repeat.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 from typing import Dict, Iterator, List, Tuple
@@ -58,12 +58,12 @@ def draw_variates(rng: np.random.Generator, n: int) -> Iterator[Iterator[np.ndar
         yield map(draw, sizes)
 
 
-def _pass(cfg: SimConfig, kinds: Tuple[str, ...]) -> Iterator[Tuple[str, str, object]]:
+def _pass(cfg: SimConfig, kinds: Tuple[str, ...]) -> Iterator[Tuple[str, object]]:
     """Simulate every session under each policy in ``kinds`` in one shared pass, yielding
-    ``(field, kind, value)`` for each field as a stage makes it (``kind`` is ``""`` for those
-    all policies share). ``latency_quantiles`` holds the nearest-rank ``QUANTILES`` of
-    ``latency_s``, in order; ``mode`` holds int8 indexes into ``governor.MODE_ORDER``. Only the
-    modes, hazard multipliers and outcome comparisons are per policy. Lanes are taken in
+    ``(field, value)`` for each field as a stage makes it. ``latency_quantiles`` holds the
+    nearest-rank ``QUANTILES`` of ``latency_s``, in order; ``mode`` holds int8 indexes into
+    ``governor.MODE_ORDER``. Each policy is one row of the mode and outcome arrays, in
+    ``kinds`` order; ``governor_transitions`` holds one count per row. Lanes are taken in
     :data:`telemetry.ROLLING_BLOCK` blocks, and the outcomes are yielded a block at a time,
     each block a new array. Latencies and modes are freed after the patience lane, perceived
     latency after the conversion lane.
@@ -78,75 +78,70 @@ def _pass(cfg: SimConfig, kinds: Tuple[str, ...]) -> Iterator[Tuple[str, str, ob
     if not np.isfinite(latencies).all():
         raise ValueError("latencies overflow a float; lower the rail's mu_log, sigma_log or shift_s")
     ordered = np.sort(latencies)
-    yield "latency_quantiles", "", tuple(nearest_rank(ordered, q) for q in QUANTILES.values())
+    yield "latency_quantiles", tuple(nearest_rank(ordered, q) for q in QUANTILES.values())
     del ordered
     perceived = np.empty(n)
     perceived[:1] = 0.0  # one session late: see the module docstring
     perceived_stream(latencies[:-1], cfg.window_capacity, params.k, out=perceived[1:])
-    yield "latency_s", "", latencies
-    yield "perceived_s", "", perceived
-    mode = {}
-    for kind in kinds:
-        transitions = 0
-        if kind == "letw":
-            mode[kind], transitions = modes(perceived, params)
-        elif kind == "static_messaging":
-            mode[kind] = (latencies > cfg.policy.static_threshold_s).view(np.int8)
-        else:
-            mode[kind] = np.zeros(n, dtype=np.int8)
-        yield "mode", kind, mode[kind]
-        yield "governor_transitions", kind, transitions
+    yield "latency_s", latencies
+    yield "perceived_s", perceived
+    mode, transitions = np.zeros((len(kinds), n), dtype=np.int8), [0] * len(kinds)  # none: 0
+    if "static_messaging" in kinds:
+        mode[kinds.index("static_messaging")] = latencies > cfg.policy.static_threshold_s
+    if "letw" in kinds:
+        row = kinds.index("letw")
+        mode[row], transitions[row] = modes(perceived, params)
+    yield "mode", mode
+    yield "governor_transitions", transitions
     multipliers = np.array(cfg.mitigation.multipliers)
-    kept = {kind: np.empty(n, dtype=np.bool_) for kind in kinds}  # abandoned, then converted
+    kept = np.empty((len(kinds), n), dtype=np.bool_)  # abandoned, then converted
     for b, patience in zip(blocks, next(lanes)):
         with np.errstate(divide="ignore", over="ignore"):  # a zero hazard never abandons
             hazard = abandonment_hazard(perceived[b], params)
-            gone = [patience / (multipliers[mode[kind][b]] * hazard) < latencies[b] for kind in kinds]
-        for kind, block in zip(kinds, gone):
-            kept[kind][b] = block
-            yield "abandoned", kind, block
+            kept[:, b] = gone = patience / (multipliers[mode[:, b]] * hazard) < latencies[b]
+        yield "abandoned", gone
     del latencies, mode
     trust = np.empty(n)
     for b, u_convert in zip(blocks, next(lanes)):
         trust[b] = trust_score(perceived[b], params)
         convertible = u_convert < context_conversion(perceived[b], cfg.ctx, params)
-        for kind in kinds:
-            kept[kind][b] = block = convertible & ~kept[kind][b]
-            yield "converted", kind, block
+        kept[:, b] = block = convertible & ~kept[:, b]
+        yield "converted", block
     del perceived
     for b, u_repeat in zip(blocks, next(lanes)):
-        engages = u_repeat < cfg.engagement_ceiling * trust[b]
-        for kind in kinds:
-            yield "repeated", kind, kept[kind][b] & engages
-    yield "trust", "", trust
+        yield "repeated", kept[:, b] & (u_repeat < cfg.engagement_ceiling * trust[b])
+    yield "trust", trust
+
+
+_RATES = {"abandoned": "abandonment_rate", "converted": "conversion_rate", "repeated": "repeat_rate"}
+_PER_POLICY = ("mode", "governor_transitions", *_RATES)
 
 
 def simulate_paths(cfg: SimConfig) -> SimpleNamespace:
-    """Simulate ``cfg.policy``: an attribute per :func:`_pass` field, blocks joined, scalars as is."""
+    """Simulate ``cfg.policy``: an attribute per :func:`_pass` field (a per-policy field's
+    one row), blocks joined, scalars as is."""
     got: Dict[str, list] = {}
-    for field, _, value in _pass(cfg, (cfg.policy.kind,)):
-        got.setdefault(field, []).append(value)
+    for field, value in _pass(cfg, (cfg.policy.kind,)):
+        got.setdefault(field, []).append(value[0] if field in _PER_POLICY else value)
     return SimpleNamespace(**{f: np.concatenate(v) if isinstance(v[0], np.ndarray) else v[0]
                               for f, v in got.items()})
 
 
-_RATES = {"abandoned": "abandonment_rate", "converted": "conversion_rate", "repeated": "repeat_rate"}
-
-
 def _results(cfg: SimConfig, kinds: Tuple[str, ...]) -> Dict[str, SimResult]:
     """The :class:`SimResult` of each policy in ``kinds``, summarized as :func:`_pass` runs."""
-    counts, shares, shared = {kind: Counter() for kind in kinds}, {}, {}
-    for field, kind, value in _pass(cfg, kinds):
+    counts, shared = {field: [0] * len(kinds) for field in _RATES}, {}
+    for field, value in _pass(cfg, kinds):
         if field in _RATES:
-            counts[kind][field] += int(np.count_nonzero(value))
+            counts[field] = [c + int(np.count_nonzero(row)) for c, row in zip(counts[field], value)]
         elif field == "mode":
-            shares[kind] = mode_shares(value)
+            shares = [mode_shares(row) for row in value]
         elif field == "trust":
             shared["mean_trust"] = float(np.mean(value))
         elif field == "latency_quantiles":
             shared.update(zip((f"latency_{q}" for q in QUANTILES), value))
-    rates = {kind: {r: counts[kind][f] / cfg.sessions for f, r in _RATES.items()} for kind in kinds}
-    return {kind: SimResult(mode_shares=shares[kind], **rates[kind], **shared) for kind in kinds}
+    return {kind: SimResult(mode_shares=shares[i], **shared,
+                            **{rate: counts[f][i] / cfg.sessions for f, rate in _RATES.items()})
+            for i, kind in enumerate(kinds)}
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:

@@ -107,16 +107,16 @@ def write_inputs() -> None:
     (GOLDEN / "sim_config.json").write_text(json.dumps(SIM_CONFIG, indent=2) + "\n")
     text = telemetry_text().encode("utf-8")
     write_gzip(GOLDEN / (TELEMETRY + ".gz"), text)
-    write_gzip(GOLDEN / (TELEMETRY_BOM + ".gz"), b"\xef\xbb\xbf" + text)
 
 
 def unpack_inputs(into: Path) -> None:
-    """Copy the committed inputs into ``into``, decompressed."""
-    for path in GOLDEN.iterdir():
-        if path.name.endswith(".jsonl.gz"):
-            (into / path.name[:-3]).write_bytes(gzip.decompress(path.read_bytes()))
-        elif path.name in ("sim_config.json", "sim_result.json"):
-            shutil.copy(path, into / path.name)
+    """Copy the committed inputs into ``into``, the telemetry decompressed, and
+    write beside it the same telemetry behind a UTF-8 byte order mark."""
+    text = gzip.decompress((GOLDEN / (TELEMETRY + ".gz")).read_bytes())
+    (into / TELEMETRY).write_bytes(text)
+    (into / TELEMETRY_BOM).write_bytes(b"\xef\xbb\xbf" + text)
+    for name in ("sim_config.json", "sim_result.json"):
+        shutil.copy(GOLDEN / name, into / name)
 
 
 def cases() -> dict:

@@ -464,6 +464,24 @@ class TestParser:
     def test_bad_flag_value(self):
         assert main(["simulate", "--sessions", "many"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["slo", "--telemetry", "{t}", "--skip", "--win", "64"],
+            ["report", "--tel", "{t}"],
+            ["replay", "--telemetry", "{t}", "--wind", "3"],
+            ["simulate", "--sess", "100"],
+        ],
+        ids=["slo", "report", "replay", "simulate"],
+    )
+    def test_flag_prefix_is_a_usage_error(self, tmp_path, capsys, argv):
+        telemetry, out = tmp_path / "t.jsonl", tmp_path / "out.json"
+        write_telemetry(telemetry, [0.8] * 512 + [2.9] * 768)  # slo escalates on it
+        argv = [arg.replace("{t}", str(telemetry)) for arg in argv]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "usage: latgov" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # A valid `report --sim` input: one simulation result document.
 SIM_RESULT = {

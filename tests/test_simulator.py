@@ -554,6 +554,26 @@ def test_trace_and_result_are_folds_of_one_pass(kind, sessions, window):
     assert (result.latency_p50, result.latency_p90, result.latency_p99) == trace.latency_quantiles
 
 
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_trace_keeps_its_types(kind):
+    n = 2 * ROLLING_BLOCK + 9
+    trace = simulate_paths(
+        SimConfig(sessions=n, seed=37, rail=NEAR_BUDGET_RAIL, policy=PolicySpec(kind=kind))
+    )
+    arrays = {
+        "mode": np.int8, "abandoned": np.bool_, "converted": np.bool_, "repeated": np.bool_,
+        "latency_s": np.float64, "perceived_s": np.float64, "trust": np.float64,
+    }
+    assert sorted(vars(trace)) == sorted([*arrays, "governor_transitions", "latency_quantiles"])
+    for name, dtype in arrays.items():
+        value = getattr(trace, name)
+        assert type(value) is np.ndarray and value.shape == (n,) and value.dtype == dtype, name
+    assert type(trace.governor_transitions) is int
+    assert (trace.governor_transitions != 0) == (kind == "letw")
+    assert type(trace.latency_quantiles) is tuple
+    assert [type(q) for q in trace.latency_quantiles] == [float] * 3
+
+
 @pytest.mark.parametrize("run, budget", [(compare_policies, 24), (run_simulation, 21)])
 def test_pass_memory_budget(run, budget):
     """The pass keeps only what the results need: bytes per session at its tracemalloc peak."""
