@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import contextlib
+import functools
 import gc
 import json
 import math
@@ -273,14 +274,11 @@ def cmd_slo(args: argparse.Namespace) -> int:
 
     status = SloStatus()
     windows = []
-    escalations = []
     for index, start in enumerate(range(0, len(latencies), args.window)):
         stats = window_stats(latencies[start : start + args.window])
         breaches = slo_evaluate(stats, slo_cfg)
         alerts = slo_alerts(stats, slo_cfg)
         status = slo_track(status, breaches)
-        if status.escalated:
-            escalations.append(index)
         windows.append(
             {
                 "index": index,
@@ -299,6 +297,7 @@ def cmd_slo(args: argparse.Namespace) -> int:
             line += " ESCALATED"
         print(line)
 
+    escalations = [w["index"] for w in windows if w["escalated"]]
     escalated_ever = bool(escalations)
     print(f"windows={len(windows)} escalated={'yes' if escalated_ever else 'no'}")
     _write_out(
@@ -355,17 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, parents=[out])
     common.add_argument("--config", help="JSON config: scenario, model params, slo targets")
 
-    # allow_abbrev=False throughout: a flag's prefix is an error, not that flag.
-    parser = argparse.ArgumentParser(
+    # Every parser, subcommands included: a flag's prefix is an error, not that flag.
+    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict(
         prog="latgov",
         description="Latency governance: simulation, telemetry replay, SLO gating, calibration.",
-        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", parser_class=strict)
 
-    p_sim = sub.add_parser(
-        "simulate", parents=[common], allow_abbrev=False, help="run the session simulator"
-    )
+    p_sim = sub.add_parser("simulate", parents=[common], help="run the session simulator")
     p_sim.add_argument("--seed", type=int, help=f"RNG seed (default {SimConfig.seed})")
     p_sim.add_argument(
         "--sessions", type=int, help=f"session count (default {SimConfig.sessions})"
@@ -378,35 +375,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_replay = sub.add_parser(
-        "replay", parents=[common], allow_abbrev=False, help="replay telemetry through the governor"
-    )
+    p_replay = sub.add_parser("replay", parents=[common], help="replay telemetry through the governor")
     p_replay.add_argument("--telemetry", required=True, help="JSONL telemetry input")
     p_replay.add_argument("--window", type=int, help="trust window, in events (default: "
                           f"the config's window_capacity, else {SimConfig.window_capacity})")
     p_replay.add_argument("--skip-bad", action="store_true", help="skip malformed lines")
     p_replay.set_defaults(func=cmd_replay)
 
-    p_report = sub.add_parser(
-        "report", parents=[common], allow_abbrev=False, help="quantile/mode table"
-    )
+    p_report = sub.add_parser("report", parents=[common], help="quantile/mode table")
     source = p_report.add_mutually_exclusive_group(required=True)
     source.add_argument("--telemetry", help="JSONL telemetry input")
     source.add_argument("--sim", help="simulation output JSON")
     p_report.add_argument("--skip-bad", action="store_true")
     p_report.set_defaults(func=cmd_report)
 
-    p_slo = sub.add_parser(
-        "slo", parents=[common], allow_abbrev=False, help="windowed SLO check (exit 3 on escalation)"
-    )
+    p_slo = sub.add_parser("slo", parents=[common], help="windowed SLO check (exit 3 on escalation)")
     p_slo.add_argument("--telemetry", required=True, help="JSONL telemetry input")
     p_slo.add_argument("--window", type=int, default=DEFAULT_WINDOW_CAPACITY, help="events per window")
     p_slo.add_argument("--skip-bad", action="store_true")
     p_slo.set_defaults(func=cmd_slo)
 
-    p_fit = sub.add_parser(
-        "fit", parents=[out], allow_abbrev=False, help="calibrate model coefficients"
-    )
+    p_fit = sub.add_parser("fit", parents=[out], help="calibrate model coefficients")
     p_fit.add_argument("--points", help="two conversion points as L1:P1,L2:P2")
     p_fit.add_argument("--hazard-anchor", help="abandonment anchor as latency:median")
     p_fit.add_argument(

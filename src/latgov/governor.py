@@ -73,14 +73,16 @@ class Decision:
 class RolloutState:
     """Continue/pause verdict of the sequential rollout guard."""
 
-    stage: str                        # "continue" | "pause"
-    forced_mode: Optional[Mode] = None
+    stage: str  # "continue" | "pause"
 
     def __post_init__(self) -> None:
         if self.stage not in ("continue", "pause"):
             raise ValueError(f"stage must be 'continue' or 'pause', got {self.stage!r}")
-        if self.stage == "pause" and self.forced_mode is not Mode.SOFT:
-            raise ValueError("a paused rollout must force soft confirmation")
+
+    @property
+    def forced_mode(self) -> Optional[Mode]:
+        """Soft confirmation while paused; no forced mode otherwise."""
+        return Mode.SOFT if self.stage == "pause" else None
 
 
 def select_mode_by_trust(trust: float, params: ModelParams) -> Mode:
@@ -237,5 +239,5 @@ def rollout_guard(
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     if trust < theta or conv_drop > max_drop:
-        return RolloutState(stage="pause", forced_mode=Mode.SOFT)
+        return RolloutState(stage="pause")
     return RolloutState(stage="continue")

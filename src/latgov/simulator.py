@@ -69,9 +69,9 @@ def _pass(cfg: SimConfig, kinds: Tuple[str, ...]) -> Iterator[Tuple[str, object]
     latency after the conversion lane.
     """
     n, params = cfg.sessions, cfg.params
+    latencies = np.empty(n)  # first: a count too large to hold fails before `blocks` grows
     blocks = [slice(start, start + ROLLING_BLOCK) for start in range(0, n, ROLLING_BLOCK)]
     lanes = draw_variates(np.random.default_rng(cfg.seed), n)
-    latencies = np.empty(n)
     with np.errstate(over="ignore"):  # checked below: no window holds the last latency
         for b, z in zip(blocks, next(lanes)):
             latencies[b] = cfg.rail.latency(z)

@@ -500,7 +500,9 @@ def rolling_mean_std(x, window: int) -> Tuple[np.ndarray, np.ndarray]:
     :mod:`latgov.simulator`.) A window that holds inf, -inf or NaN reads a mean of
     NaN or +-inf (NaN for one such value alone) and a std of NaN (0 for one
     value); the windows that hold none are unaffected. A window whose spread
-    squares past the float range reads a std of NaN or inf. Neither warns.
+    squares past the float range reads a std of NaN or inf, and one whose squared
+    deviations underflow reads std 0: ``rolling_mean_std([1e-300, 2e-300, 3e-300],
+    2)`` reads std ``[0, 0, 0]``. None of these warns.
 
     The values are cut into rows of ``window`` values, so every window is the
     head of one row, up to x[i], plus the tail of the row before, empty at a
@@ -571,8 +573,11 @@ class SloStatus:
     """Consecutive-breach tracking state for one telemetry stream."""
 
     consecutive_breaches: int = 0
-    breached_metrics: FrozenSet[str] = frozenset()
-    escalated: bool = False
+
+    @property
+    def escalated(self) -> bool:
+        """From the ``ESCALATION_WINDOWS``-th consecutive breaching window on."""
+        return self.consecutive_breaches >= ESCALATION_WINDOWS
 
 
 def slo_evaluate(stats: WindowStats, cfg: SloConfig) -> FrozenSet[str]:
@@ -600,12 +605,4 @@ def slo_track(status: SloStatus, breaches: FrozenSet[str]) -> SloStatus:
     resets the streak. Escalation fires on the 3rd consecutive breaching
     window ("more than two" read strictly).
     """
-    if breaches & ESCALATION_METRICS:
-        consecutive = status.consecutive_breaches + 1
-    else:
-        consecutive = 0
-    return SloStatus(
-        consecutive_breaches=consecutive,
-        breached_metrics=frozenset(breaches),
-        escalated=consecutive >= ESCALATION_WINDOWS,
-    )
+    return SloStatus(status.consecutive_breaches + 1 if breaches & ESCALATION_METRICS else 0)

@@ -5,7 +5,7 @@ import typing
 from dataclasses import asdict, fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latgov.cli import main
@@ -471,8 +471,9 @@ class TestParser:
             ["report", "--tel", "{t}"],
             ["replay", "--telemetry", "{t}", "--wind", "3"],
             ["simulate", "--sess", "100"],
+            ["fit", "--poin", "1:0.5,2:0.4"],
         ],
-        ids=["slo", "report", "replay", "simulate"],
+        ids=["slo", "report", "replay", "simulate", "fit"],
     )
     def test_flag_prefix_is_a_usage_error(self, tmp_path, capsys, argv):
         telemetry, out = tmp_path / "t.jsonl", tmp_path / "out.json"
@@ -530,6 +531,10 @@ REPROS = {
                            "t.jsonl": make_event("s0", 1.0) + "\n"},
                           ["replay", "--config", "cfg.json", "--telemetry", "t.jsonl"]),
     "fit_anchor_5000": ({}, ["fit", "--hazard-anchor", "5000:7"]),
+    # A session count too large to allocate fails at once, before any per-block list grows.
+    "simulate_sessions_2_64": ({}, ["simulate", "--sessions", str(2**64)]),
+    "config_sessions_2_64": ({"cfg.json": '{"sessions": %d}' % 2**64},
+                             ["simulate", "--config", "cfg.json"]),
     "fit_gamma_minus_5000": ({}, ["fit", "--hazard-anchor", "1:7", "--gamma", "-5000"]),
     **{
         f"config_{name}": ({"cfg.json": doc}, ["simulate", "--config", "cfg.json"])
@@ -879,6 +884,7 @@ class TestCliFuzz:
 
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(doc=sim_docs, policy=st.sampled_from(["letw", "all"]))
+    @example(doc={"sessions": 2**64}, policy="all")
     def test_simulate(self, tmp_path_factory, doc, policy):
         tmp = tmp_path_factory.mktemp("fuzz")
         (tmp / "cfg.json").write_text(json.dumps(doc))

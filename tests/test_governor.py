@@ -23,7 +23,7 @@ from latgov.governor import (
     step,
 )
 from latgov.model import ModelParams, trust_score
-from latgov.telemetry import SloStatus
+from latgov.telemetry import ESCALATION_WINDOWS, SloStatus
 
 PARAMS = ModelParams()  # budget 2.0, soft limit 3.0, h 0.25, k 0.8
 
@@ -286,7 +286,7 @@ class TestModes:
 
 
 class TestSloEscalation:
-    ESCALATED = SloStatus(consecutive_breaches=3, breached_metrics=frozenset({"p90"}), escalated=True)
+    ESCALATED = SloStatus(consecutive_breaches=ESCALATION_WINDOWS)
     CALM = SloStatus()
 
     def test_forces_instant_to_soft(self):
@@ -353,8 +353,8 @@ class TestRolloutGuard:
             rollout_guard(0.5, float("inf"), 0.5)
 
     def test_pause_requires_soft(self):
-        with pytest.raises(ValueError):
-            RolloutState(stage="pause", forced_mode=None)
+        assert RolloutState("pause").forced_mode is Mode.SOFT
+        assert RolloutState("continue").forced_mode is None
         with pytest.raises(ValueError):
             RolloutState(stage="rollback")
 

@@ -17,6 +17,7 @@ from latgov.config import SimResult
 from latgov.model import perceived_latency
 from latgov.telemetry import (
     EMPTY_STATS,
+    ESCALATION_WINDOWS,
     OPTIONAL_FIELDS,
     QUANTILES,
     REQUIRED_FIELDS,
@@ -616,7 +617,10 @@ class TestSloTrack:
             status = slo_track(status, frozenset({"p50", "p99"}))
         assert status.consecutive_breaches == 0
         assert not status.escalated
-        assert status.breached_metrics == frozenset({"p50", "p99"})
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_escalated_follows_the_streak(self, k):
+        assert SloStatus(consecutive_breaches=k).escalated == (k >= ESCALATION_WINDOWS)
 
     def test_jitter_counts(self):
         status = SloStatus()

@@ -74,3 +74,23 @@ def test_bench_pairs_records_the_bytecode_variables(tmp_path, monkeypatch):
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     with pytest.raises(SystemExit, match="was written under"):
         bench_pairs.main(argv)
+
+
+def test_bench_pairs_arithmetic():
+    """Each side's median and quartiles, and the pairs the change won, on fixed runs:
+    a tie counts for neither side."""
+    bench_pairs = load_tool("bench_pairs")
+
+    def results(values):
+        return [{"metrics": {"up": {"value": v}, "down": {"value": v}},
+                 "attempted": 1, "failed": 0, "correct": True} for v in values]
+
+    parent, change = results([1, 2, 3, 4]), results([2, 2, 5, 3])
+    metrics = {"up": "higher", "down": "lower"}
+    summary = bench_pairs.side(parent, metrics)
+    assert summary["up"] == {"median": 2.5, "q1": 1.25, "q3": 3.75, "runs": [1, 2, 3, 4]}
+    assert (summary["attempted"], summary["failed"], summary["correct"]) == (4, 0, True)
+    assert bench_pairs.side(change, metrics)["up"]["median"] == 2.5
+    won = bench_pairs.pairs(parent, change, metrics)
+    assert won["up"] == {"change_better_pairs": 2, "pairs": 4, "median_change_pct": 0.0}
+    assert won["down"] == {"change_better_pairs": 1, "pairs": 4, "median_change_pct": 0.0}
