@@ -33,6 +33,7 @@ and only converted sessions can repeat.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import repeat
 from types import SimpleNamespace
 from typing import Dict, Iterator, List, Tuple
 
@@ -41,7 +42,7 @@ import numpy as np
 from .config import (
     POLICY_KINDS, QuantileModeRow, RailDistribution, SimConfig, SimResult, quantile_mode_rows,
 )
-from .governor import mode_shares, modes
+from .governor import MODE_ORDER, Mode, mode_shares, modes
 from .model import abandonment_hazard, context_conversion, trust_score
 from .telemetry import QUANTILES, ROLLING_BLOCK, nearest_rank, perceived_stream
 
@@ -52,10 +53,10 @@ def draw_variates(rng: np.random.Generator, n: int) -> Iterator[Iterator[np.ndar
     """The four per-session variate lanes, in their fixed draw order, each as its
     :data:`telemetry.ROLLING_BLOCK`-session blocks, drawn when the caller takes them.
     A ``Generator`` draws k values then m values as it draws k + m, so the blocks of
-    a lane join to its whole draw."""
-    sizes = [min(ROLLING_BLOCK, n - start) for start in range(0, n, ROLLING_BLOCK)]
+    a lane join to its whole draw. The block sizes are made lazily too, so no count is
+    too large to start on."""
     for draw in (rng.standard_normal, rng.standard_exponential, rng.random, rng.random):
-        yield map(draw, sizes)
+        yield map(draw, map(min, repeat(ROLLING_BLOCK), range(n, 0, -ROLLING_BLOCK)))
 
 
 def _pass(cfg: SimConfig, kinds: Tuple[str, ...]) -> Iterator[Tuple[str, object]]:
@@ -65,8 +66,12 @@ def _pass(cfg: SimConfig, kinds: Tuple[str, ...]) -> Iterator[Tuple[str, object]
     ``governor.MODE_ORDER``. Each policy is one row of the mode and outcome arrays, in
     ``kinds`` order; ``governor_transitions`` holds one count per row. Lanes are taken in
     :data:`telemetry.ROLLING_BLOCK` blocks, and the outcomes are yielded a block at a time,
-    each block a new array. Latencies and modes are freed after the patience lane, perceived
-    latency after the conversion lane.
+    each block a new array. The ``letw`` row is made block by block, each block's governor
+    starting from the previous block's last mode. Each per-session array is held once: once
+    the patience lane has read a block's modes, that block's bytes of the mode rows hold its
+    abandoned flags and then its converted ones, so a consumer that keeps ``mode`` past the
+    next field must copy it. Latencies are freed after the patience lane, perceived latency
+    after the conversion lane.
     """
     n, params = cfg.sessions, cfg.params
     latencies = np.empty(n)  # first: a count too large to hold fails before `blocks` grows
@@ -89,12 +94,15 @@ def _pass(cfg: SimConfig, kinds: Tuple[str, ...]) -> Iterator[Tuple[str, object]
     if "static_messaging" in kinds:
         mode[kinds.index("static_messaging")] = latencies > cfg.policy.static_threshold_s
     if "letw" in kinds:
-        row = kinds.index("letw")
-        mode[row], transitions[row] = modes(perceived, params)
+        row, start = kinds.index("letw"), Mode.INSTANT
+        for b in blocks:
+            mode[row, b], hops = modes(perceived[b], params, start)
+            transitions[row] += hops
+            start = MODE_ORDER[mode[row, b][-1]]
     yield "mode", mode
     yield "governor_transitions", transitions
     multipliers = np.array(cfg.mitigation.multipliers)
-    kept = np.empty((len(kinds), n), dtype=np.bool_)  # abandoned, then converted
+    kept = mode.view(np.bool_)  # abandoned, then converted: each block once its modes are read
     for b, patience in zip(blocks, next(lanes)):
         with np.errstate(divide="ignore", over="ignore"):  # a zero hazard never abandons
             hazard = abandonment_hazard(perceived[b], params)
@@ -122,7 +130,9 @@ def simulate_paths(cfg: SimConfig) -> SimpleNamespace:
     one row), blocks joined, scalars as is."""
     got: Dict[str, list] = {}
     for field, value in _pass(cfg, (cfg.policy.kind,)):
-        got.setdefault(field, []).append(value[0] if field in _PER_POLICY else value)
+        if field in _PER_POLICY:  # the pass writes its outcome flags over the mode rows
+            value = value[0].copy() if field == "mode" else value[0]
+        got.setdefault(field, []).append(value)
     return SimpleNamespace(**{f: np.concatenate(v) if isinstance(v[0], np.ndarray) else v[0]
                               for f, v in got.items()})
 

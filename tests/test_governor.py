@@ -280,6 +280,26 @@ class TestModes:
             transitions += changes
         assert (codes, transitions) == step_fold(lps, start)
 
+    @given(lps=st.lists(near_threshold | st.floats(0.0, 6.0), min_size=1, max_size=120),
+           start=st.sampled_from(MODE_ORDER), data=st.data())
+    @settings(derandomize=True, max_examples=300)
+    def test_pieces_from_the_carried_mode_join_to_one_call(self, lps, start, data):
+        """The simulator's blockwise governor: each non-empty piece starts from the last
+        mode of the piece before it, and the pieces' codes and transitions join to those
+        of one call over the whole array, on values exactly at each threshold too."""
+        lps = np.array(lps)
+        cut_after = data.draw(st.lists(st.booleans(), min_size=len(lps) - 1, max_size=len(lps) - 1))
+        cuts = [i + 1 for i, cut in enumerate(cut_after) if cut]
+        mode, pieces, transitions = start, [], 0
+        for lo, hi in zip([0, *cuts], [*cuts, len(lps)]):
+            piece, changes = modes(lps[lo:hi], PARAMS, mode)
+            mode = MODE_ORDER[piece[-1]]
+            pieces.append(piece)
+            transitions += changes
+        codes, want = modes(lps, PARAMS, start)
+        assert np.concatenate(pieces).tobytes() == codes.tobytes()
+        assert transitions == want
+
     def test_mode_shares_name_every_mode(self):
         codes, _ = modes([3.5, 3.5, 3.5, 3.5], PARAMS)  # soft, then deferred
         assert mode_shares(codes) == {"instant": 0.0, "soft": 0.25, "deferred": 0.75}

@@ -2,6 +2,9 @@
 monotonicity, direction checks, and the analytic closed-form cross-check."""
 
 import math
+import resource
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, is_dataclass, replace
@@ -9,7 +12,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
-from latgov.governor import GovernorState, Mode, mode_shares, step
+from latgov.governor import GovernorState, Mode, mode_shares, modes, step
 from latgov import simulator
 from latgov.config import (
     POLICY_KINDS,
@@ -30,7 +33,7 @@ from latgov.simulator import (
     simulate_paths,
 )
 from latgov.telemetry import ROLLING_BLOCK, WindowStats, nearest_rank, perceived_stream
-from reference import simulate_session
+from reference import latgov_env, simulate_session
 
 Z90 = 1.2815515655446004
 Z99 = 2.3263478740408408
@@ -443,6 +446,20 @@ def test_lanes_are_drawn_in_order_each_block_when_taken():
     assert next(lanes, None) is None
 
 
+def test_a_lane_starts_on_a_count_too_large_to_hold():
+    """Block sizes are made as a lane is taken: under a 1 GB address-space cap, a lane of
+    2**64 sessions yields its first block at once, where a list of its sizes fills memory."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    code = ("import numpy as np\nfrom latgov.simulator import draw_variates\n"
+            "print(next(next(draw_variates(np.random.default_rng(0), 2**64))).shape)")
+    done = subprocess.run([sys.executable, "-c", code], env=latgov_env(), preexec_fn=cap,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, f"({ROLLING_BLOCK},)\n"), done.stderr
+
+
 def test_overflow_in_the_last_latency_is_rejected(monkeypatch):
     """No window holds the last session's latency, so perceived latency cannot catch it."""
 
@@ -457,6 +474,21 @@ def test_overflow_in_the_last_latency_is_rejected(monkeypatch):
 
 
 NEAR_BUDGET_RAIL = RailDistribution.from_median(1.17, 0.5207)
+
+
+def test_blockwise_governor_equals_one_call_over_the_pass():
+    """The pass runs the governor a block at a time from the previous block's last mode;
+    its row and count equal one :func:`governor.modes` call over every perceived latency."""
+    cfg = SimConfig(
+        sessions=3 * ROLLING_BLOCK + 7, seed=1, window_capacity=7, rail=NEAR_BUDGET_RAIL
+    )
+    trace = simulate_paths(cfg)
+    codes, transitions = modes(trace.perceived_s, cfg.params)
+    assert trace.mode.tobytes() == codes.tobytes()
+    assert trace.governor_transitions == transitions
+    # a mode change on a block's first session, counted against the carried mode
+    firsts = trace.mode[ROLLING_BLOCK::ROLLING_BLOCK]
+    assert (firsts != trace.mode[ROLLING_BLOCK - 1 : -1 : ROLLING_BLOCK]).any()
 
 
 def with_policy(cfg, kind):
@@ -587,6 +619,22 @@ def test_pass_memory_budget(run, budget):
     finally:
         tracemalloc.stop()
     assert peak <= budget * n, peak / n
+
+
+@pytest.mark.parametrize("run, policy_bytes", [(compare_policies, 3), (run_simulation, 1)])
+def test_pass_holds_each_session_array_once(run, policy_bytes):
+    """At its tracemalloc peak the pass holds two float64 arrays and one byte per policy
+    per session, plus per-block scratch that does not grow with the session count."""
+    n = 1_000_000
+    cfg = SimConfig(sessions=n, seed=3, policy=PolicySpec(kind="letw"))
+    run(cfg)  # first-call allocations are not the pass's
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (16 + policy_bytes) * n + 2_000_000, peak / n
 
 
 class TestQuantileModeReport:

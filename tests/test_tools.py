@@ -94,3 +94,20 @@ def test_bench_pairs_arithmetic():
     won = bench_pairs.pairs(parent, change, metrics)
     assert won["up"] == {"change_better_pairs": 2, "pairs": 4, "median_change_pct": 0.0}
     assert won["down"] == {"change_better_pairs": 1, "pairs": 4, "median_change_pct": 0.0}
+
+
+@pytest.mark.parametrize("parent, change, better, want", [
+    # every pair 5% better, the parent's runs within 0.4% of each other
+    ([100.0, 100.2, 99.8, 100.1, 99.9] * 2, [105.0, 105.2, 104.8, 105.1, 104.9] * 2, "higher",
+     "better"),
+    # 9 of 10 pairs better and one tie, but the median gains 1 on a quartile spread of 5.5
+    (list(range(100, 110)), [v + 1 for v in range(100, 109)] + [109], "higher", "within bound"),
+    # a 30% drop in a higher-is-better metric with a 25% bound
+    ([100.0] * 10, [70.0] * 10, "higher", "worse"),
+    ([40.0, 41.0] * 5, [40.0, 41.0] * 5, "lower", "within bound"),
+])
+def test_bench_pairs_verdict(parent, change, better, want):
+    """``better`` needs 90% of the pairs and a median gain beyond the parent's quartile
+    spread; ``worse`` a median loss beyond the bound."""
+    bench_pairs = load_tool("bench_pairs")
+    assert bench_pairs.verdict(parent, change, better, 0.25) == want

@@ -8,8 +8,9 @@ the unmodified ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` of its own tree, T being ``run_seconds`` of ``BENCHMARK.json``. Pair
 i runs the parent first when i is even and the change first otherwise. For each
 workload and end-to-end metric of ``BENCHMARK.json`` the file holds each side's
-median, quartiles and runs (in pair order), and how many pairs the change won
-and the change of the medians in percent.
+median, quartiles and runs (in pair order), how many pairs the change won, the
+change of the medians in percent, and the metric's verdict (:func:`verdict`), a
+report that gates nothing.
 
 An existing ``--out`` of the same two commits is added to, not replaced: the
 file's first seed keeps its workloads under ``workloads``, another seed's go
@@ -22,6 +23,7 @@ file is added to only under the same values.
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -76,11 +78,32 @@ def side(results: list, metrics: dict) -> dict:
     return summary
 
 
+def won(parent_runs: list, change_runs: list, better: str) -> int:
+    """The pairs in which the change is better; a tie counts for neither side."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (c - p) > 0 for p, c in zip(parent_runs, change_runs))
+
+
+def verdict(parent_runs: list, change_runs: list, better: str, bound: float) -> str:
+    """``better`` when the change wins at least 90% of the pairs and its median beats the
+    parent's by more than the parent's quartile spread; ``worse`` when its median is worse
+    than the parent's by more than ``bound`` times the parent's median; else ``within
+    bound``."""
+    sign = 1 if better == "higher" else -1
+    p_med = statistics.median(parent_runs)
+    gain = sign * (statistics.median(change_runs) - p_med)
+    q1, _, q3 = statistics.quantiles(parent_runs, n=4)
+    if won(parent_runs, change_runs, better) >= math.ceil(0.9 * len(change_runs)) and gain > q3 - q1:
+        return "better"
+    if -gain > bound * p_med:
+        return "worse"
+    return "within bound"
+
+
 def pairs(parent: list, change: list, metrics: dict) -> dict:
     out = {}
     for name, better in metrics.items():
-        sign = 1 if better == "higher" else -1
-        wins = sum(sign * (value(c, name) - value(p, name)) > 0 for p, c in zip(parent, change))
+        wins = won([value(r, name) for r in parent], [value(r, name) for r in change], better)
         p_med = statistics.median(value(r, name) for r in parent)
         c_med = statistics.median(value(r, name) for r in change)
         out[name] = {"change_better_pairs": wins, "pairs": len(change),
@@ -104,6 +127,7 @@ def main(argv=None) -> int:
         parser.error(f"--pairs must be >= 2, got {args.pairs}")
 
     metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     workloads = args.workload or known
     shas = {name: git("rev-parse", rev) for name, rev in (("parent", args.parent), ("change", args.change))}
@@ -148,11 +172,12 @@ def main(argv=None) -> int:
                 for name in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                     results[name].append(run(trees[name], workload, args.seed, seconds))
                 print(f"{workload} pair {i + 1}/{args.pairs}", file=sys.stderr, flush=True)
-            done[workload] = {
-                "parent": side(results["parent"], metrics),
-                "change": side(results["change"], metrics),
-                "pairs": pairs(results["parent"], results["change"], metrics),
-            }
+            parent, change = side(results["parent"], metrics), side(results["change"], metrics)
+            compared = pairs(results["parent"], results["change"], metrics)
+            for name, better in metrics.items():
+                compared[name]["verdict"] = verdict(parent[name]["runs"], change[name]["runs"],
+                                                    better, bounds[name])
+            done[workload] = {"parent": parent, "change": change, "pairs": compared}
             out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
