@@ -93,7 +93,8 @@ def verdict(parent_runs: list, change_runs: list, better: str, bound: float) -> 
     p_med = statistics.median(parent_runs)
     gain = sign * (statistics.median(change_runs) - p_med)
     q1, _, q3 = statistics.quantiles(parent_runs, n=4)
-    if won(parent_runs, change_runs, better) >= math.ceil(0.9 * len(change_runs)) and gain > q3 - q1:
+    most = math.ceil(0.9 * len(change_runs))
+    if won(parent_runs, change_runs, better) >= most and gain > q3 - q1:
         return "better"
     if -gain > bound * p_med:
         return "worse"
