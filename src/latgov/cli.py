@@ -188,17 +188,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    import numpy as np  # here, as in cmd_simulate: slo, report and fit load no NumPy
     cfg, _ = _load_config(args.config, window_capacity=args.window)
     params = cfg.params
 
     session_ids, latencies = _columns(args, "session_id", "latency_s")
     perceived = perceived_stream(latencies, cfg.window_capacity, params.k)
-    codes, transitions = modes(perceived, params)
+    codes = np.empty(len(perceived), dtype=np.int8)
+    transitions = modes(perceived, params, codes)
     if args.out:
         sink = open(args.out, "w", encoding="utf-8")
     else:
         sink = contextlib.nullcontext(sys.stdout)
-    # Per mode code: its name and reason_for's limit and reasons, as strings.
+    # Per mode code: its name, reason_for's limit (a float) and the names of its reasons.
     table = [
         (mode.value, limit, held.value, crossed.value)
         for mode, (limit, held, crossed) in zip(MODE_ORDER, reason_table(params))

@@ -143,54 +143,56 @@ def reason_for(mode: Mode, lp: float, params: ModelParams) -> Reason:
     return crossed if lp > limit else held
 
 
-def modes(
-    perceived: Sequence[float], params: ModelParams, start: Mode = Mode.INSTANT
-) -> Tuple[np.ndarray, int]:
-    """Run :func:`next_mode` over perceived latencies from ``start``, unchecked: the
-    :data:`MODE_ORDER` index after each value (int8), and the number of mode changes.
+def modes(perceived: Sequence[float], params: ModelParams, out: np.ndarray) -> int:
+    """Run :func:`next_mode` over perceived latencies from :attr:`Mode.INSTANT`, unchecked:
+    write the :data:`MODE_ORDER` index after each value into the int8 ``out``, one code per
+    value, and return the number of mode changes.
 
-    :func:`next_mode` sees a value only through four strict comparisons, so values
-    are packed into a 4-bit threshold pattern and the governor walks runs of one
-    pattern. ``0 < h < budget_b_l < budget_soft`` leaves the rule no cycle, so within
-    a run the mode settles after at most two hops: the first value takes one, every
-    later value the second. Each pattern's hops come from :func:`next_mode` on the
-    first value seen with it (at most 16 x 3 calls), so the cost grows with the
-    number of runs, not of values.
+    :func:`next_mode` sees a value only through four strict comparisons, so values are packed
+    into a 4-bit threshold pattern and the governor walks runs of one pattern, a
+    :data:`telemetry.ROLLING_BLOCK` block at a time with the mode carried on, so its scratch
+    does not grow with the stream. ``0 < h < budget_b_l < budget_soft`` leaves the rule no
+    cycle, so within a run the mode settles after at most two hops: the first value takes one,
+    every later value the second. Each pattern's hops come from :func:`next_mode` on the first
+    value seen with it (at most 16 x 3 calls per stream), so the cost grows with the runs.
     """
     import numpy as np
+    from .telemetry import ROLLING_BLOCK  # imported here: telemetry imports Mode from here
     lp = np.asarray(perceived, dtype=np.float64)
-    n = len(lp)
-    if n == 0:
-        return np.zeros(0, dtype=np.int8), 0
-    pattern = (lp > params.budget_b_l).view(np.int8)
-    pattern |= (lp > params.budget_soft).view(np.int8) << 1
-    pattern |= (lp < params.budget_b_l - params.hysteresis_h).view(np.int8) << 2
-    pattern |= (lp < params.budget_soft - params.hysteresis_h).view(np.int8) << 3
-    starts = np.flatnonzero(np.concatenate(([True], pattern[1:] != pattern[:-1])))
-    lengths = np.diff(starts, append=n)
-
+    if len(out) != len(lp):
+        raise ValueError(f"out holds {len(out)} codes for {len(lp)} perceived latencies")
     hops: List[Optional[List[int]]] = [None] * 16  # pattern -> next code per code
-    code = start.index
-    firsts, lasts = [], []
-    for i, p, length in zip(starts.tolist(), pattern[starts].tolist(), lengths.tolist()):
-        hop = hops[p]
-        if hop is None:
-            value = float(lp[i])
-            hop = hops[p] = [next_mode(m, value, params).index for m in MODE_ORDER]
-        first = hop[code]
-        code = hop[first] if length > 1 else first
-        firsts.append(first)
-        lasts.append(code)
-    codes = np.repeat(np.array(lasts, dtype=np.int8), lengths)
-    codes[starts] = firsts
-    transitions = int(np.count_nonzero(codes[1:] != codes[:-1])) + (int(codes[0]) != start.index)
-    return codes, transitions
+    code = transitions = 0  # Mode.INSTANT
+    for lo in range(0, len(lp), ROLLING_BLOCK):
+        block, codes = lp[lo : lo + ROLLING_BLOCK], out[lo : lo + ROLLING_BLOCK]
+        pattern = (block > params.budget_b_l).view(np.int8)
+        pattern |= (block > params.budget_soft).view(np.int8) << 1
+        pattern |= (block < params.budget_b_l - params.hysteresis_h).view(np.int8) << 2
+        pattern |= (block < params.budget_soft - params.hysteresis_h).view(np.int8) << 3
+        starts = np.flatnonzero(np.concatenate(([True], pattern[1:] != pattern[:-1])))
+        lengths = np.diff(starts, append=len(block))
+        firsts, lasts = bytearray(), bytearray()  # one code a byte
+        for i, p, length in zip(starts, pattern[starts].tolist(), lengths.tolist()):
+            hop = hops[p]
+            if hop is None:
+                hop = hops[p] = [next_mode(m, float(block[i]), params).index for m in MODE_ORDER]
+            first = hop[code]
+            last = hop[first] if length > 1 else first
+            transitions += (first != code) + (last != first)
+            code = last
+            firsts.append(first)
+            lasts.append(last)
+        codes[:] = np.repeat(lasts, lengths)
+        codes[starts] = firsts
+    return transitions
 
 
 def mode_shares(codes: np.ndarray) -> Dict[str, float]:
     """Each mode's share of :func:`modes` codes, keyed by mode name in :data:`MODE_ORDER`.
     Counts compare the codes in their own dtype, so no wider copy of them is made."""
     import numpy as np
+    if len(codes) == 0:
+        raise ValueError("cannot take mode shares of no codes")
     return {
         mode.value: int(np.count_nonzero(codes == i)) / len(codes)
         for i, mode in enumerate(MODE_ORDER)

@@ -42,7 +42,7 @@ import numpy as np
 from .config import (
     POLICY_KINDS, QuantileModeRow, RailDistribution, SimConfig, SimResult, quantile_mode_rows,
 )
-from .governor import MODE_ORDER, Mode, mode_shares, modes
+from .governor import mode_shares, modes
 from .model import abandonment_hazard, context_conversion, trust_score
 from .telemetry import QUANTILES, ROLLING_BLOCK, nearest_rank, perceived_stream
 
@@ -66,12 +66,11 @@ def _pass(cfg: SimConfig, kinds: Tuple[str, ...]) -> Iterator[Tuple[str, object]
     ``governor.MODE_ORDER``. Each policy is one row of the mode and outcome arrays, in
     ``kinds`` order; ``governor_transitions`` holds one count per row. Lanes are taken in
     :data:`telemetry.ROLLING_BLOCK` blocks, and the outcomes are yielded a block at a time,
-    each block a new array. The ``letw`` row is made block by block, each block's governor
-    starting from the previous block's last mode. Each per-session array is held once: once
-    the patience lane has read a block's modes, that block's bytes of the mode rows hold its
-    abandoned flags and then its converted ones, so a consumer that keeps ``mode`` past the
-    next field must copy it. Latencies are freed after the patience lane, perceived latency
-    after the conversion lane.
+    each block a new array. Each per-session array is held once: once the patience lane has
+    read a block's modes, that block's bytes of the mode rows hold its abandoned flags and
+    then its converted ones, so a consumer that keeps ``mode`` past the next field must copy
+    it. Latencies are freed after the patience lane, perceived latency after the conversion
+    lane.
     """
     n, params = cfg.sessions, cfg.params
     latencies = np.empty(n)  # first: a count too large to hold fails before `blocks` grows
@@ -94,11 +93,8 @@ def _pass(cfg: SimConfig, kinds: Tuple[str, ...]) -> Iterator[Tuple[str, object]
     if "static_messaging" in kinds:
         mode[kinds.index("static_messaging")] = latencies > cfg.policy.static_threshold_s
     if "letw" in kinds:
-        row, start = kinds.index("letw"), Mode.INSTANT
-        for b in blocks:
-            mode[row, b], hops = modes(perceived[b], params, start)
-            transitions[row] += hops
-            start = MODE_ORDER[mode[row, b][-1]]
+        row = kinds.index("letw")
+        transitions[row] = modes(perceived, params, mode[row])
     yield "mode", mode
     yield "governor_transitions", transitions
     multipliers = np.array(cfg.mitigation.multipliers)

@@ -1,6 +1,7 @@
 """Governor tests: mode selection, hysteresis machine, escalation, rollout guard."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from latgov.governor import (
     step,
 )
 from latgov.model import ModelParams, trust_score
-from latgov.telemetry import ESCALATION_WINDOWS, SloStatus
+from latgov.telemetry import ESCALATION_WINDOWS, ROLLING_BLOCK, SloStatus
 
 PARAMS = ModelParams()  # budget 2.0, soft limit 3.0, h 0.25, k 0.8
 
@@ -177,9 +178,9 @@ class TestStep:
         assert state.mode is decide_simple(lp, 0.0, PARAMS)
 
 
-def step_fold(lps, start=Mode.INSTANT, params=PARAMS):
-    """(mode codes, transitions) of :func:`step` run over ``lps`` from ``start``."""
-    state, codes = run_sequence(lps, GovernorState(mode=start), params)
+def step_fold(lps, params=PARAMS):
+    """(mode codes, transitions) of :func:`step` run over ``lps`` from a fresh governor."""
+    state, codes = run_sequence(lps, GovernorState(), params)
     return [m.index for m in codes], state.transitions
 
 
@@ -216,6 +217,13 @@ def tight_thresholds(draw):
     return params, [value for value in stream for _ in range(repeat)]
 
 
+def run_modes(lps, params=PARAMS):
+    """(mode codes, transitions) of one :func:`modes` call over ``lps``."""
+    out = np.empty(len(lps), dtype=np.int8)
+    transitions = modes(lps, params, out)
+    return out.tolist(), transitions
+
+
 class TestModes:
     @pytest.mark.parametrize(
         "lps, codes, transitions",
@@ -227,27 +235,25 @@ class TestModes:
         ],
     )
     def test_hand_written(self, lps, codes, transitions):
-        got, changes = modes(lps, PARAMS)
-        assert got.dtype == np.int8
-        assert (got.tolist(), changes) == (codes, transitions)
+        out = np.full(len(lps), -1, dtype=np.int8)
+        got = modes(lps, PARAMS, out)
+        assert type(got) is int
+        assert (out.tolist(), got) == (codes, transitions)
 
     def test_array_and_list_agree(self):
         lps = np.random.default_rng(4).uniform(0.0, 4.0, 500)
-        codes, transitions = modes(lps, PARAMS, Mode.SOFT)
-        from_list, from_list_transitions = modes(lps.tolist(), PARAMS, Mode.SOFT)
-        assert np.array_equal(codes, from_list)
-        assert transitions == from_list_transitions
+        assert run_modes(lps) == run_modes(lps.tolist())
 
-    @given(case=tight_thresholds(), start=st.sampled_from(MODE_ORDER))
+    @given(case=tight_thresholds())
     @settings(derandomize=True, max_examples=300)
-    def test_matches_step_fold_on_tight_thresholds(self, case, start):
+    def test_matches_step_fold_on_tight_thresholds(self, case):
         params, lps = case
-        codes, transitions = modes(lps, params, start)
-        assert (codes.tolist(), transitions) == step_fold(lps, start, params)
+        assert run_modes(lps, params) == step_fold(lps, params=params)
 
     def test_next_mode_calls_bounded_by_patterns(self, monkeypatch):
         # Each of the 16 threshold patterns asks next_mode once per mode, however
-        # long the stream: a loop over every value would make 200k calls.
+        # long the stream and however many blocks it spans: a loop over every value
+        # would make 200k calls.
         calls = []
 
         def counting(*args):
@@ -256,53 +262,51 @@ class TestModes:
 
         monkeypatch.setattr("latgov.governor.next_mode", counting)
         lps = np.random.default_rng(9).choice([0.0, *THRESHOLDS, 2.5, 3.5], size=200_000)
-        codes, _ = modes(lps, PARAMS)
-        assert codes.shape == (200_000,)
+        codes, _ = run_modes(lps)
+        assert len(codes) == 200_000
         assert 0 < len(calls) <= 48
 
-    @given(lps=lp_streams, start=st.sampled_from(MODE_ORDER))
+    @given(lps=lp_streams)
     @settings(derandomize=True, max_examples=300)
-    def test_matches_step_fold(self, lps, start):
-        codes, transitions = modes(lps, PARAMS, start)
-        assert (codes.tolist(), transitions) == step_fold(lps, start)
+    def test_matches_step_fold(self, lps):
+        assert run_modes(lps) == step_fold(lps)
 
-    @given(lps=lp_streams, start=st.sampled_from(MODE_ORDER), data=st.data())
-    @settings(derandomize=True, max_examples=200)
-    def test_split_stream_passes_mode_on(self, lps, start, data):
-        cuts = sorted(data.draw(st.lists(st.integers(0, len(lps)), max_size=6)))
-        mode, codes, transitions = start, [], 0
-        for lo, hi in zip([0, *cuts], [*cuts, len(lps)]):
-            piece, changes = modes(lps[lo:hi], PARAMS, mode)
-            piece = piece.tolist()
-            if piece:
-                mode = MODE_ORDER[piece[-1]]
-            codes += piece
-            transitions += changes
-        assert (codes, transitions) == step_fold(lps, start)
+    @pytest.mark.parametrize("n", [ROLLING_BLOCK - 1, ROLLING_BLOCK + 1, 3 * ROLLING_BLOCK + 7])
+    def test_blocks_carry_the_mode(self, n):
+        """The walk goes a block at a time; a mode change on a block's first value is
+        made and counted against the mode the block before it ended in."""
+        lps = np.where(np.arange(n) // ROLLING_BLOCK % 2 == 0, 3.5, 1.0)
+        lps[1::5] = 2.5  # runs inside each block, too
+        codes, transitions = run_modes(lps)
+        assert (codes, transitions) == step_fold(lps.tolist())
+        assert codes[0] != Mode.INSTANT.index
+        for first in range(ROLLING_BLOCK, n, ROLLING_BLOCK):
+            assert codes[first] != codes[first - 1]
 
-    @given(lps=st.lists(near_threshold | st.floats(0.0, 6.0), min_size=1, max_size=120),
-           start=st.sampled_from(MODE_ORDER), data=st.data())
-    @settings(derandomize=True, max_examples=300)
-    def test_pieces_from_the_carried_mode_join_to_one_call(self, lps, start, data):
-        """The simulator's blockwise governor: each non-empty piece starts from the last
-        mode of the piece before it, and the pieces' codes and transitions join to those
-        of one call over the whole array, on values exactly at each threshold too."""
-        lps = np.array(lps)
-        cut_after = data.draw(st.lists(st.booleans(), min_size=len(lps) - 1, max_size=len(lps) - 1))
-        cuts = [i + 1 for i, cut in enumerate(cut_after) if cut]
-        mode, pieces, transitions = start, [], 0
-        for lo, hi in zip([0, *cuts], [*cuts, len(lps)]):
-            piece, changes = modes(lps[lo:hi], PARAMS, mode)
-            mode = MODE_ORDER[piece[-1]]
-            pieces.append(piece)
-            transitions += changes
-        codes, want = modes(lps, PARAMS, start)
-        assert np.concatenate(pieces).tobytes() == codes.tobytes()
-        assert transitions == want
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_out_of_another_length_is_rejected(self, size):
+        with pytest.raises(ValueError, match="out holds"):
+            modes([1.0, 3.5, 3.5], PARAMS, np.empty(size, dtype=np.int8))
+
+    def test_scratch_does_not_grow_with_the_stream(self):
+        lps = np.random.default_rng(3).uniform(0.0, 4.0, 1_000_000)
+        out = np.empty(len(lps), dtype=np.int8)
+        modes(lps, PARAMS, out)  # first-call allocations are not the walk's
+        tracemalloc.start()
+        try:
+            modes(lps, PARAMS, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, peak
 
     def test_mode_shares_name_every_mode(self):
-        codes, _ = modes([3.5, 3.5, 3.5, 3.5], PARAMS)  # soft, then deferred
+        codes = np.array([1, 2, 2, 2], dtype=np.int8)  # soft, then deferred
         assert mode_shares(codes) == {"instant": 0.0, "soft": 0.25, "deferred": 0.75}
+
+    def test_mode_shares_of_no_codes_is_rejected(self):
+        with pytest.raises(ValueError, match="no codes"):
+            mode_shares(np.zeros(0, dtype=np.int8))
 
 
 class TestSloEscalation:

@@ -12,7 +12,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
-from latgov.governor import GovernorState, Mode, mode_shares, modes, step
+from latgov.governor import GovernorState, Mode, mode_shares, modes, next_mode, step
 from latgov import simulator
 from latgov.config import (
     POLICY_KINDS,
@@ -477,18 +477,33 @@ NEAR_BUDGET_RAIL = RailDistribution.from_median(1.17, 0.5207)
 
 
 def test_blockwise_governor_equals_one_call_over_the_pass():
-    """The pass runs the governor a block at a time from the previous block's last mode;
-    its row and count equal one :func:`governor.modes` call over every perceived latency."""
+    """The pass's ``letw`` row and count equal one :func:`governor.modes` call over every
+    perceived latency, whose walk goes a block at a time."""
     cfg = SimConfig(
         sessions=3 * ROLLING_BLOCK + 7, seed=1, window_capacity=7, rail=NEAR_BUDGET_RAIL
     )
     trace = simulate_paths(cfg)
-    codes, transitions = modes(trace.perceived_s, cfg.params)
+    codes = np.empty(cfg.sessions, dtype=np.int8)
+    assert trace.governor_transitions == modes(trace.perceived_s, cfg.params, codes)
     assert trace.mode.tobytes() == codes.tobytes()
-    assert trace.governor_transitions == transitions
     # a mode change on a block's first session, counted against the carried mode
     firsts = trace.mode[ROLLING_BLOCK::ROLLING_BLOCK]
     assert (firsts != trace.mode[ROLLING_BLOCK - 1 : -1 : ROLLING_BLOCK]).any()
+
+
+def test_governor_memo_spans_the_pass(monkeypatch):
+    """The hop memo is shared by every block of the stream: :func:`governor.next_mode` is
+    asked at most once per threshold pattern and mode, 16 x 3 times, however many blocks."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return next_mode(*args)
+
+    monkeypatch.setattr("latgov.governor.next_mode", counting)
+    results = compare_policies(SimConfig(sessions=200_000, seed=3, rail=NEAR_BUDGET_RAIL))
+    assert results["letw"].mode_shares["soft"] > 0.0
+    assert 0 < len(calls) <= 48
 
 
 def with_policy(cfg, kind):

@@ -91,9 +91,10 @@ def test_bench_pairs_arithmetic():
     assert summary["up"] == {"median": 2.5, "q1": 1.25, "q3": 3.75, "runs": [1, 2, 3, 4]}
     assert (summary["attempted"], summary["failed"], summary["correct"]) == (4, 0, True)
     assert bench_pairs.side(change, metrics)["up"]["median"] == 2.5
-    won = bench_pairs.pairs(parent, change, metrics)
-    assert won["up"] == {"change_better_pairs": 2, "pairs": 4, "median_change_pct": 0.0}
-    assert won["down"] == {"change_better_pairs": 1, "pairs": 4, "median_change_pct": 0.0}
+    for better, won in (("higher", 2), ("lower", 1)):
+        assert bench_pairs.pairs([1, 2, 3, 4], [2, 2, 5, 3], better, 0.25) == {
+            "change_better_pairs": won, "pairs": 4, "median_change_pct": 0.0, "sign_p": 1.0,
+            "verdict": "within bound"}
 
 
 @pytest.mark.parametrize("parent, change, better, want", [
@@ -110,4 +111,20 @@ def test_bench_pairs_verdict(parent, change, better, want):
     """``better`` needs 90% of the pairs and a median gain beyond the parent's quartile
     spread; ``worse`` a median loss beyond the bound."""
     bench_pairs = load_tool("bench_pairs")
-    assert bench_pairs.verdict(parent, change, better, 0.25) == want
+    assert bench_pairs.pairs(parent, change, better, 0.25)["verdict"] == want
+
+
+@pytest.mark.parametrize("wins, ties, want", [
+    (10, 0, 0.001953125), (9, 0, 0.021484375), (8, 0, 0.109375), (5, 0, 1.0),
+    (0, 0, 0.001953125),  # ten losses: two-sided
+    (9, 1, 0.00390625),  # the tie is dropped: 9 of 9
+    (0, 10, 1.0),
+])
+def test_bench_pairs_sign_test(wins, ties, want):
+    """``sign_p`` is the exact two-sided sign test over the pairs that are not ties."""
+    bench_pairs = load_tool("bench_pairs")
+    parent = [100.0] * 10
+    change = [101.0] * wins + [100.0] * ties + [99.0] * (10 - wins - ties)
+    got = bench_pairs.pairs(parent, change, "higher", 0.25)
+    assert (got["change_better_pairs"], got["sign_p"]) == (wins, want)
+    assert bench_pairs.pairs(change, parent, "lower", 0.25)["sign_p"] == want

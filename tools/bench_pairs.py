@@ -8,9 +8,10 @@ the unmodified ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` of its own tree, T being ``run_seconds`` of ``BENCHMARK.json``. Pair
 i runs the parent first when i is even and the change first otherwise. For each
 workload and end-to-end metric of ``BENCHMARK.json`` the file holds each side's
-median, quartiles and runs (in pair order), how many pairs the change won, the
-change of the medians in percent, and the metric's verdict (:func:`verdict`), a
-report that gates nothing.
+median, quartiles and runs (in pair order), and the two sides compared
+(:func:`pairs`): how many pairs the change won, the change of the medians in
+percent, the sign test's p-value, and the metric's verdict, a report that gates
+nothing.
 
 An existing ``--out`` of the same two commits is added to, not replaced: the
 file's first seed keeps its workloads under ``workloads``, another seed's go
@@ -78,38 +79,32 @@ def side(results: list, metrics: dict) -> dict:
     return summary
 
 
-def won(parent_runs: list, change_runs: list, better: str) -> int:
-    """The pairs in which the change is better; a tie counts for neither side."""
-    sign = 1 if better == "higher" else -1
-    return sum(sign * (c - p) > 0 for p, c in zip(parent_runs, change_runs))
+def pairs(parent_runs: list, change_runs: list, better: str, bound: float) -> dict:
+    """One metric's ``pairs`` entry, from the runs of each side in pair order: the pairs the
+    change won (a tie counts for neither side), the change of the medians in percent, the
+    exact two-sided sign-test p-value with ties dropped (``sign_p``), and the verdict.
 
-
-def verdict(parent_runs: list, change_runs: list, better: str, bound: float) -> str:
-    """``better`` when the change wins at least 90% of the pairs and its median beats the
-    parent's by more than the parent's quartile spread; ``worse`` when its median is worse
-    than the parent's by more than ``bound`` times the parent's median; else ``within
-    bound``."""
+    The verdict is ``better`` when the change wins at least 90% of the pairs and its median
+    beats the parent's by more than the parent's quartile spread; ``worse`` when its median
+    is worse than the parent's by more than ``bound`` times the parent's median; else
+    ``within bound``."""
     sign = 1 if better == "higher" else -1
-    p_med = statistics.median(parent_runs)
-    gain = sign * (statistics.median(change_runs) - p_med)
+    gains = [sign * (c - p) for p, c in zip(parent_runs, change_runs)]
+    wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
+    p_med, c_med = statistics.median(parent_runs), statistics.median(change_runs)
+    gain = sign * (c_med - p_med)
     q1, _, q3 = statistics.quantiles(parent_runs, n=4)
-    most = math.ceil(0.9 * len(change_runs))
-    if won(parent_runs, change_runs, better) >= most and gain > q3 - q1:
-        return "better"
-    if -gain > bound * p_med:
-        return "worse"
-    return "within bound"
-
-
-def pairs(parent: list, change: list, metrics: dict) -> dict:
-    out = {}
-    for name, better in metrics.items():
-        wins = won([value(r, name) for r in parent], [value(r, name) for r in change], better)
-        p_med = statistics.median(value(r, name) for r in parent)
-        c_med = statistics.median(value(r, name) for r in change)
-        out[name] = {"change_better_pairs": wins, "pairs": len(change),
-                     "median_change_pct": round(100.0 * (c_med / p_med - 1.0), 2)}
-    return out
+    if wins >= math.ceil(0.9 * len(change_runs)) and gain > q3 - q1:
+        verdict = "better"
+    elif -gain > bound * p_med:
+        verdict = "worse"
+    else:
+        verdict = "within bound"
+    untied = wins + losses
+    tail = sum(math.comb(untied, k) for k in range(min(wins, losses) + 1))
+    return {"change_better_pairs": wins, "pairs": len(change_runs),
+            "median_change_pct": round(100.0 * (c_med / p_med - 1.0), 2),
+            "sign_p": min(1.0, 2 * tail / 2**untied), "verdict": verdict}
 
 
 def main(argv=None) -> int:
@@ -174,10 +169,8 @@ def main(argv=None) -> int:
                     results[name].append(run(trees[name], workload, args.seed, seconds))
                 print(f"{workload} pair {i + 1}/{args.pairs}", file=sys.stderr, flush=True)
             parent, change = side(results["parent"], metrics), side(results["change"], metrics)
-            compared = pairs(results["parent"], results["change"], metrics)
-            for name, better in metrics.items():
-                compared[name]["verdict"] = verdict(parent[name]["runs"], change[name]["runs"],
-                                                    better, bounds[name])
+            compared = {name: pairs(parent[name]["runs"], change[name]["runs"], better, bounds[name])
+                        for name, better in metrics.items()}
             done[workload] = {"parent": parent, "change": change, "pairs": compared}
             out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
