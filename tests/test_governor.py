@@ -275,8 +275,9 @@ class TestModes:
     def test_blocks_carry_the_mode(self, n):
         """The walk goes a block at a time; a mode change on a block's first value is
         made and counted against the mode the block before it ended in."""
-        lps = np.where(np.arange(n) // ROLLING_BLOCK % 2 == 0, 3.5, 1.0)
-        lps[1::5] = 2.5  # runs inside each block, too
+        i = np.arange(n)
+        lps = np.where(i // ROLLING_BLOCK % 2 == 0, 3.5, 1.0)
+        lps[i % ROLLING_BLOCK % 5 == 2] = 2.5  # runs inside each block, none first in one
         codes, transitions = run_modes(lps)
         assert (codes, transitions) == step_fold(lps.tolist())
         assert codes[0] != Mode.INSTANT.index
