@@ -3,7 +3,8 @@
 Exit codes are a stable contract for rollout scripting: 0 success,
 1 runtime failure (e.g. empty input), 2 usage/config error, 3 SLO
 escalation. Human-readable tables go to stdout; machine JSON goes to
-``--out`` files.
+``--out`` files. ``replay`` without ``--out`` writes its records to stdout and
+its summary line to stderr; with ``--out`` the summary goes to stdout.
 """
 
 from __future__ import annotations

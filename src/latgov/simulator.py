@@ -10,9 +10,8 @@ comparison); the scenario and result types are in :mod:`latgov.config`.
 check it against a scalar one-session reference in ``tests/reference.py``.
 Policies simulated together (``--policy all``, :func:`run_burst`) share that
 one pass, in which each policy is one row of the mode and outcome arrays. The
-pass yields each stage's arrays or blocks as it makes them: the results count
-them as they come and keep only the trust array whole, and
-:func:`simulate_paths` joins them into a trace, one attribute per field the pass yields.
+pass yields each field once, whole, as its stage finishes: the results count
+each field as it comes, and :func:`simulate_paths` keeps one attribute per field.
 
 Determinism: a run is a pure function of ``(config, seed)``. All random
 variates come from one seeded generator in four lanes of one value per
@@ -32,6 +31,7 @@ and only converted sessions can repeat.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import replace
 from itertools import repeat
 from types import SimpleNamespace
@@ -65,12 +65,11 @@ def _pass(cfg: SimConfig, kinds: Tuple[str, ...]) -> Iterator[Tuple[str, object]
     nearest-rank ``QUANTILES`` of ``latency_s``, in order; ``mode`` holds int8 indexes into
     ``governor.MODE_ORDER``. Each policy is one row of the mode and outcome arrays, in
     ``kinds`` order; ``governor_transitions`` holds one count per row. Lanes are taken in
-    :data:`telemetry.ROLLING_BLOCK` blocks, and the outcomes are yielded a block at a time,
-    each block a new array. Each per-session array is held once: once the patience lane has
-    read a block's modes, that block's bytes of the mode rows hold its abandoned flags and
-    then its converted ones, so a consumer that keeps ``mode`` past the next field must copy
-    it. Latencies are freed after the patience lane, perceived latency after the conversion
-    lane.
+    :data:`telemetry.ROLLING_BLOCK` blocks, and each field is yielded once, whole, in stage
+    order. Each per-session array is held once: each outcome stage writes its flags block by
+    block over the mode rows' bytes (abandoned, then converted, then repeated), so a per-policy
+    array is valid until the next field. Latencies are freed after the patience lane,
+    perceived latency after the conversion lane.
     """
     n, params = cfg.sessions, cfg.params
     latencies = np.empty(n)  # first: a count too large to hold fails before `blocks` grows
@@ -98,22 +97,22 @@ def _pass(cfg: SimConfig, kinds: Tuple[str, ...]) -> Iterator[Tuple[str, object]
     yield "mode", mode
     yield "governor_transitions", transitions
     multipliers = np.array(cfg.mitigation.multipliers)
-    kept = mode.view(np.bool_)  # abandoned, then converted: each block once its modes are read
+    kept = mode.view(np.bool_)  # each block's modes, then its abandoned, converted, repeated flags
     for b, patience in zip(blocks, next(lanes)):
         with np.errstate(divide="ignore", over="ignore"):  # a zero hazard never abandons
             hazard = abandonment_hazard(perceived[b], params)
-            kept[:, b] = gone = patience / (multipliers[mode[:, b]] * hazard) < latencies[b]
-        yield "abandoned", gone
+            kept[:, b] = patience / (multipliers[mode[:, b]] * hazard) < latencies[b]
+    yield "abandoned", kept
     del latencies, mode
     trust = np.empty(n)
     for b, u_convert in zip(blocks, next(lanes)):
         trust[b] = trust_score(perceived[b], params)
-        convertible = u_convert < context_conversion(perceived[b], cfg.ctx, params)
-        kept[:, b] = block = convertible & ~kept[:, b]
-        yield "converted", block
+        kept[:, b] = (u_convert < context_conversion(perceived[b], cfg.ctx, params)) & ~kept[:, b]
+    yield "converted", kept
     del perceived
     for b, u_repeat in zip(blocks, next(lanes)):
-        yield "repeated", kept[:, b] & (u_repeat < cfg.engagement_ceiling * trust[b])
+        kept[:, b] &= u_repeat < cfg.engagement_ceiling * trust[b]
+    yield "repeated", kept
     yield "trust", trust
 
 
@@ -122,31 +121,25 @@ _PER_POLICY = ("mode", "governor_transitions", *_RATES)
 
 
 def simulate_paths(cfg: SimConfig) -> SimpleNamespace:
-    """Simulate ``cfg.policy``: an attribute per :func:`_pass` field (a per-policy field's
-    one row), blocks joined, scalars as is."""
-    got: Dict[str, list] = {}
-    for field, value in _pass(cfg, (cfg.policy.kind,)):
-        if field in _PER_POLICY:  # the pass writes its outcome flags over the mode rows
-            value = value[0].copy() if field == "mode" else value[0]
-        got.setdefault(field, []).append(value)
-    return SimpleNamespace(**{f: np.concatenate(v) if isinstance(v[0], np.ndarray) else v[0]
-                              for f, v in got.items()})
+    """Simulate ``cfg.policy``: an attribute per :func:`_pass` field, a per-policy field's
+    one row copied, since the pass writes its next field over it."""
+    return SimpleNamespace(**{field: copy(value[0]) if field in _PER_POLICY else value
+                              for field, value in _pass(cfg, (cfg.policy.kind,))})
 
 
 def _results(cfg: SimConfig, kinds: Tuple[str, ...]) -> Dict[str, SimResult]:
     """The :class:`SimResult` of each policy in ``kinds``, summarized as :func:`_pass` runs."""
-    counts, shared = {field: [0] * len(kinds) for field in _RATES}, {}
+    rates, shared = {}, {}
     for field, value in _pass(cfg, kinds):
         if field in _RATES:
-            counts[field] = [c + int(np.count_nonzero(row)) for c, row in zip(counts[field], value)]
+            rates[_RATES[field]] = [int(np.count_nonzero(row)) / cfg.sessions for row in value]
         elif field == "mode":
             shares = [mode_shares(row) for row in value]
         elif field == "trust":
             shared["mean_trust"] = float(np.mean(value))
         elif field == "latency_quantiles":
             shared.update(zip((f"latency_{q}" for q in QUANTILES), value))
-    return {kind: SimResult(mode_shares=shares[i], **shared,
-                            **{rate: counts[f][i] / cfg.sessions for f, rate in _RATES.items()})
+    return {kind: SimResult(mode_shares=shares[i], **shared, **{r: v[i] for r, v in rates.items()})
             for i, kind in enumerate(kinds)}
 
 

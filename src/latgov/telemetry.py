@@ -314,6 +314,8 @@ def read_columns(
     The idea is from Langdale & Lemire, "Parsing Gigabytes of JSON per
     Second" (VLDB J. 2019): validate in bulk, fall back on failure.
     """
+    if set(names) - set(COLUMNS):
+        raise ValueError(f"unknown columns {sorted(set(names) - set(COLUMNS))}; known: {COLUMNS}")
     columns: Tuple[list, ...] = tuple([] for _ in names)
     lines = iter(lines)
     start = 1
@@ -530,6 +532,8 @@ def perceived_stream(latencies, window: int, k: float, out=None) -> np.ndarray:
     latencies = np.asarray(latencies, dtype=np.float64)
     if out is None:
         out = np.empty(latencies.shape[0])
+    elif len(out) != len(latencies):
+        raise ValueError(f"out holds {len(out)} values for {len(latencies)} latencies")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are rejected below
         for start, stop, mean, std in _window_passes(latencies, window):
             got = perceived_latency(mean, std, k)

@@ -101,6 +101,9 @@ def test_c03_hazard_anchor():
 
 
 def test_c04_quantile_mode_mapping():
+    """The abstract: "we provide operational thresholds for engineering teams to enforce
+    trust-preserving payment feedback". The default rail's p50, p90 and p99 map to the
+    instant, soft and deferred modes."""
     with criterion("criterion 04: (1.4, 2.2, 4.7) -> (instant, soft, deferred)"):
         modes = [decide_simple(lat, 0.0, PARAMS) for lat in (1.4, 2.2, 4.7)]
         assert modes == [Mode.INSTANT, Mode.SOFT, Mode.DEFERRED]
@@ -238,3 +241,42 @@ def test_c11_end_to_end_determinism(tmp_path):
         write_telemetry(tmp_path / "breaches.jsonl", breach_window(20) * 3)
         proc = run_latgov(["slo", "--telemetry", "breaches.jsonl", "--window", "20"], tmp_path)
         assert proc.returncode == 3, proc.stdout + proc.stderr
+
+
+CLAIM_SEEDS = (11, 23, 37, 41, 53)  # criterion 08's seeds
+
+
+def ungoverned(rail, seed, sessions=100_000):
+    return run_simulation(
+        SimConfig(sessions=sessions, seed=seed, policy=PolicySpec(kind="none"), rail=rail)
+    )
+
+
+def test_c12_latency_beyond_two_seconds():
+    """The abstract: "latency beyond two seconds materially reduces tip completion and repeat
+    engagement". Every session at 3.0 s against every session at 2.0 s (degenerate rails),
+    ungoverned: both conversion and repeat fall on each seed, conversion by more than a fifth
+    and repeat by more than half (measured: 0.552-0.557 -> 0.340-0.344 and 0.032-0.035 ->
+    0.0047-0.0052)."""
+    with criterion("criterion 12: 3.0 s converts and repeats less than 2.0 s, 5 seeds x 1e5"):
+        start = time.perf_counter()
+        for seed in CLAIM_SEEDS:
+            at_2s, at_3s = (ungoverned(RailDistribution.from_median(s, 0.0), seed)
+                            for s in (2.0, 3.0))
+            assert at_3s.conversion_rate < 0.8 * at_2s.conversion_rate, seed
+            assert at_3s.repeat_rate < 0.5 * at_2s.repeat_rate, seed
+        assert time.perf_counter() - start < 10.0
+
+
+def test_c13_latency_variance_at_one_mean():
+    """The abstract: "latency variance is as important as mean latency". Rails of one mean,
+    1.4644 s (the σ 0.3 rail of median 1.4 s), at σ 0.3, 0.55 and 0.8, ungoverned: conversion
+    falls with σ on each seed (measured medians 0.620, 0.585 and 0.543), so spread alone
+    costs conversion."""
+    with criterion("criterion 13: at one mean, conversion falls as sigma 0.3 -> 0.55 -> 0.8"):
+        start = time.perf_counter()
+        for seed in CLAIM_SEEDS:
+            rates = [ungoverned(RailDistribution.from_median(1.4644 / math.exp(s * s / 2), s),
+                                seed).conversion_rate for s in (0.3, 0.55, 0.8)]
+            assert rates[0] > rates[1] > rates[2], (seed, rates)
+        assert time.perf_counter() - start < 10.0

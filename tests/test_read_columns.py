@@ -292,6 +292,16 @@ class TestReadColumns:
             [None, "eu"], [5.0, 80.0], [1.001, 1.002]
         )
 
+    @pytest.mark.parametrize("lines", [[], ["{bad"], None])
+    def test_an_unknown_name_is_a_value_error_before_any_line(self, lines):
+        """A name outside ``COLUMNS`` fails at once, naming it, on empty input, on input
+        whose every line is dropped, and before the reader takes a line."""
+        if lines is None:
+            lines = mock.MagicMock()
+            lines.__iter__.side_effect = AssertionError("a line was read")
+        with pytest.raises(ValueError, match=r"unknown columns \['bogus'\]"):
+            read_columns(lines, ("session_id", "bogus"), skip_bad=True)
+
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(
         lines=st.lists(

@@ -621,6 +621,21 @@ def test_trace_keeps_its_types(kind):
     assert [type(q) for q in trace.latency_quantiles] == [float] * 3
 
 
+@pytest.mark.parametrize("kinds", [("letw",), POLICY_KINDS])
+def test_pass_yields_each_field_once_in_stage_order(kinds):
+    """Every field of the pass comes once, whole, in stage order; the outcome fields too,
+    which are written block by block over the mode rows."""
+    n = 2 * ROLLING_BLOCK + 9
+    cfg = SimConfig(sessions=n, seed=37, rail=NEAR_BUDGET_RAIL)
+    got = [(field, np.shape(value)) for field, value in simulator._pass(cfg, kinds)]
+    rows = (len(kinds), n)
+    assert got == [
+        ("latency_quantiles", (3,)), ("latency_s", (n,)), ("perceived_s", (n,)), ("mode", rows),
+        ("governor_transitions", (len(kinds),)), ("abandoned", rows), ("converted", rows),
+        ("repeated", rows), ("trust", (n,)),
+    ]
+
+
 @pytest.mark.parametrize("run, budget", [(compare_policies, 24), (run_simulation, 21)])
 def test_pass_memory_budget(run, budget):
     """The pass keeps only what the results need: bytes per session at its tracemalloc peak."""

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latgov import telemetry
 from latgov.config import SimResult
 from latgov.model import perceived_latency
 from latgov.telemetry import (
@@ -437,6 +438,16 @@ class TestPerceivedStream:
         assert perceived_stream(x, 16, 0.8, out=out[1:]).base is out
         assert out[0] == -1.0
         assert np.array_equal(out[1:], perceived_stream(x, 16, 0.8))
+
+    @pytest.mark.parametrize("size", [2, 5])
+    def test_out_of_another_length_is_a_value_error(self, size, monkeypatch):
+        """An ``out`` longer or shorter than the latencies fails before any window pass,
+        and leaves ``out`` as it was."""
+        monkeypatch.setattr(telemetry, "_window_passes", None)  # a pass would fail otherwise
+        out = np.full(size, -7.0)
+        with pytest.raises(ValueError, match=f"out holds {size} values for 3 latencies"):
+            perceived_stream(np.ones(3), 2, 0.8, out=out)
+        assert (out == -7.0).all()
 
     def test_overflow_is_a_value_error_without_a_warning(self):
         with warnings.catch_warnings():

@@ -94,7 +94,7 @@ def test_bench_pairs_arithmetic():
     for better, won in (("higher", 2), ("lower", 1)):
         assert bench_pairs.pairs([1, 2, 3, 4], [2, 2, 5, 3], better, 0.25) == {
             "change_better_pairs": won, "pairs": 4, "median_change_pct": 0.0, "sign_p": 1.0,
-            "verdict": "within bound"}
+            "ratio_ci95": [0.75, 2.0], "verdict": "within bound"}
 
 
 @pytest.mark.parametrize("parent, change, better, want", [
@@ -128,3 +128,19 @@ def test_bench_pairs_sign_test(wins, ties, want):
     got = bench_pairs.pairs(parent, change, "higher", 0.25)
     assert (got["change_better_pairs"], got["sign_p"]) == (wins, want)
     assert bench_pairs.pairs(change, parent, "lower", 0.25)["sign_p"] == want
+
+
+def test_bench_pairs_ratio_interval():
+    """``ratio_ci95`` bootstraps the median of the per-pair ``change / parent`` ratios from a
+    fixed seed: equal runs give [1, 1], the same runs the same interval, and ten ratios all
+    above 1 a lower bound above 1."""
+    bench_pairs = load_tool("bench_pairs")
+    assert bench_pairs.pairs([5.0] * 10, [5.0] * 10, "higher", 0.25)["ratio_ci95"] == [1.0, 1.0]
+    parent = [100.0, 103.0, 98.0, 101.0, 99.5, 102.0, 97.0, 100.5, 104.0, 99.0]
+    change = [99.0, 104.0, 97.5, 103.0, 101.0, 100.0, 99.0, 102.5, 101.0, 100.0]
+    first = bench_pairs.pairs(parent, change, "higher", 0.25)["ratio_ci95"]
+    assert first == bench_pairs.pairs(parent, change, "higher", 0.25)["ratio_ci95"]
+    assert first[0] < 1.0 < first[1]
+    up = bench_pairs.pairs(parent, [p * (1.001 + i / 1000) for i, p in enumerate(parent)],
+                           "lower", 0.25)["ratio_ci95"]
+    assert 1.0 < up[0] <= up[1]

@@ -10,8 +10,8 @@ i runs the parent first when i is even and the change first otherwise. For each
 workload and end-to-end metric of ``BENCHMARK.json`` the file holds each side's
 median, quartiles and runs (in pair order), and the two sides compared
 (:func:`pairs`): how many pairs the change won, the change of the medians in
-percent, the sign test's p-value, and the metric's verdict, a report that gates
-nothing.
+percent, the sign test's p-value, a bootstrap interval of the median ratio, and
+the metric's verdict, a report that gates nothing.
 
 An existing ``--out`` of the same two commits is added to, not replaced: the
 file's first seed keeps its workloads under ``workloads``, another seed's go
@@ -27,6 +27,7 @@ import json
 import math
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -82,7 +83,10 @@ def side(results: list, metrics: dict) -> dict:
 def pairs(parent_runs: list, change_runs: list, better: str, bound: float) -> dict:
     """One metric's ``pairs`` entry, from the runs of each side in pair order: the pairs the
     change won (a tie counts for neither side), the change of the medians in percent, the
-    exact two-sided sign-test p-value with ties dropped (``sign_p``), and the verdict.
+    exact two-sided sign-test p-value with ties dropped (``sign_p``), a bootstrap 95% interval
+    of the median of the per-pair ``change / parent`` ratios (``ratio_ci95``), and the verdict.
+    The interval's 2,000 resamples come from ``random.Random(0)``, so it is a function of the
+    runs alone.
 
     The verdict is ``better`` when the change wins at least 90% of the pairs and its median
     beats the parent's by more than the parent's quartile spread; ``worse`` when its median
@@ -102,9 +106,13 @@ def pairs(parent_runs: list, change_runs: list, better: str, bound: float) -> di
         verdict = "within bound"
     untied = wins + losses
     tail = sum(math.comb(untied, k) for k in range(min(wins, losses) + 1))
+    ratios, draw = [c / p for p, c in zip(parent_runs, change_runs)], random.Random(0)
+    medians = [statistics.median(draw.choices(ratios, k=len(ratios))) for _ in range(2000)]
+    cuts = statistics.quantiles(medians, n=40, method="inclusive")
     return {"change_better_pairs": wins, "pairs": len(change_runs),
             "median_change_pct": round(100.0 * (c_med / p_med - 1.0), 2),
-            "sign_p": min(1.0, 2 * tail / 2**untied), "verdict": verdict}
+            "sign_p": min(1.0, 2 * tail / 2**untied),
+            "ratio_ci95": [round(cuts[0], 6), round(cuts[-1], 6)], "verdict": verdict}
 
 
 def main(argv=None) -> int:
